@@ -1,0 +1,9 @@
+"""Test set-up for the benchmark's own tests: ``python3 -m pytest bench``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (HERE, os.path.join(os.path.dirname(HERE), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
