@@ -20,6 +20,7 @@ from .errors import (
     NotLocalError,
     NotNakayamaError,
     QuivalgError,
+    UniserialLengthError,
     ZeroModuleError,
 )
 from .quiver import Arrow, Path, Quiver, QuiverShape, compose, is_connected, shape_classify
@@ -75,6 +76,7 @@ __all__ = [
     "QuiverShape",
     "QuivalgError",
     "Side",
+    "UniserialLengthError",
     "ZeroModuleError",
     "algebra_to_kupisch",
     "allowed_summands",

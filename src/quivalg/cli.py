@@ -180,6 +180,17 @@ def _parse_summand_tokens(spec, algebra):
     return ids
 
 
+def _at_least(low):
+    """An argparse type for integers no smaller than ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -201,9 +212,9 @@ def build_parser():
 
     algebra_cmd("check", "parse an algebra file and print a summary")
     p = algebra_cmd("domdim", "dominant dimension")
-    p.add_argument("--cutoff", type=int, default=12)
+    p.add_argument("--cutoff", type=_at_least(1), default=12)
     p = algebra_cmd("coresolve", "terms of the minimal injective coresolution")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_at_least(1), required=True)
     algebra_cmd("nakayama", "Nakayama shape test and Kupisch series")
     p = algebra_cmd("qf2", "simple-socle test for the indecomposable projectives")
     p.add_argument("--side", choices=["right", "left", "both"], default="both")
@@ -219,12 +230,13 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--max-vertices", type=int)
-    p.add_argument("--max-arrows", type=int)
-    p.add_argument("--max-rel-len", type=int)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--max-c", type=int, default=DEFAULT_MAX_C)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-vertices", type=_at_least(1))
+    p.add_argument("--max-arrows", type=_at_least(0))
+    p.add_argument("--max-rel-len", type=_at_least(2))
+    p.add_argument("--max-n", type=_at_least(1), default=DEFAULT_MAX_N)
+    p.add_argument("--max-c", type=_at_least(1), default=DEFAULT_MAX_C)
+    p.add_argument("--workers", type=_at_least(1), default=1,
+                   help="worker processes for corpus sweeps, capped at the CPU count")
     p.add_argument("--report", help="write the JSON report to this file (atomically)")
     p.add_argument("--csv", help="write a CSV summary to this file")
 

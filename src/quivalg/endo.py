@@ -17,8 +17,16 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import NotBasicError, NotLocalError
-from .quiver import Arrow, Quiver, QuiverShape, connected_components, induced_subquiver, shape_classify
-from .representations import Morphism, hom_space
+from .quiver import (
+    Arrow,
+    Quiver,
+    QuiverShape,
+    connected_components,
+    induced_subquiver,
+    kupisch_walk,
+    shape_classify,
+)
+from .representations import Morphism, hom_space, radical_rows
 from .nakayama import KupischSeries
 
 
@@ -64,14 +72,11 @@ class BasicAlgebra:
             return self._gabriel_cache
         n = self.num_summands
         rad_set = set(self.radical)
-        pos_in_block = {}
         rad_blocks = {}
         for x in self.radical:
             rad_blocks.setdefault(self.tags[x], []).append(x)
-        for key, xs in rad_blocks.items():
-            for k, x in enumerate(xs):
-                pos_in_block[x] = k
-        sq_vectors = {}
+        pos_in_block = {x: k for xs in rad_blocks.values() for k, x in enumerate(xs)}
+        squares = {}  # block -> sparse vectors spanning that block of rad^2
         for x in self.radical:
             for y in self.radical:
                 if self.tags[x][1] != self.tags[y][0]:
@@ -79,25 +84,21 @@ class BasicAlgebra:
                 prod = self.products[x][y]
                 if not prod:
                     continue
+                if any(z not in rad_set for z, _ in prod):
+                    raise ValueError("rad * rad escaped the radical span")
                 key = (self.tags[x][0], self.tags[y][1])
-                vec = [Fraction(0)] * len(rad_blocks.get(key, []))
-                for z, c in prod:
-                    if z not in rad_set:
-                        raise ValueError("rad * rad escaped the radical span")
-                    vec[pos_in_block[z]] += c
-                sq_vectors.setdefault(key, []).append(vec)
+                squares.setdefault(key, []).append({pos_in_block[z]: c for z, c in prod})
         arrows = []
         generators = []
         for key in sorted(rad_blocks):
-            xs = rad_blocks[key]
-            spanned = list(sq_vectors.get(key, []))
-            for x in xs:
-                vec = [Fraction(int(pos_in_block[x] == k)) for k in range(len(xs))]
-                if linalg.RowSolver(spanned, len(xs)).contains(vec):
-                    continue
-                spanned.append(vec)
-                generators.append(x)
-                arrows.append(Arrow(f"g{len(arrows)}", key[0], key[1]))
+            # a radical element is a generator when it is independent of
+            # rad^2 and of the radical elements before it
+            sq = squares.get(key, [])
+            units = [{k: 1} for k in range(len(rad_blocks[key]))]
+            for i in linalg.independent(sq + units):
+                if i >= len(sq):
+                    generators.append(rad_blocks[key][i - len(sq)])
+                    arrows.append(Arrow(f"g{len(arrows)}", key[0], key[1]))
         quiver = Quiver(n, tuple(arrows))
         self._gabriel_cache = (quiver, tuple(generators))
         return self._gabriel_cache
@@ -146,7 +147,7 @@ class EndomorphismContext:
             if rep.is_zero:
                 raise ValueError("zero modules cannot be summands")
         self._hom = {}
-        self._solver = {}
+        self._hom_rrefs = {}
         self._compose = {}
         self._top_data = {}
 
@@ -166,10 +167,8 @@ class EndomorphismContext:
             rep = self.universe[a]
             data = []
             for v in range(rep.algebra.quiver.vertex_count):
-                rows = []
-                for ai in rep.algebra.quiver.in_arrows[v]:
-                    rows.extend(rep.maps[ai])
-                dim, proj, sect = linalg.quotient_maps(rows, rep.dims[v])
+                dim, proj, sect = linalg.quotient_maps(linalg.sparse(radical_rows(rep, v)),
+                                                       rep.dims[v])
                 if dim:
                     data.append((v, dim, proj, sect))
             self._top_data[a] = data
@@ -201,8 +200,7 @@ class EndomorphismContext:
         rep = self.universe[a]
         homs = hom_space(rep, rep)
         ident = Morphism(rep, rep, [linalg.identity(d) for d in rep.dims], validate=False)
-        radicals = []
-        rows = []
+        candidates = []
         for f in homs:
             c = self._scalar_part(a, f)
             maps = [linalg.mat_sub(f.vertex_maps[v], linalg.scalar_mul(c, linalg.identity(d)))
@@ -211,11 +209,9 @@ class EndomorphismContext:
             if self._is_zero_morphism(r):
                 continue
             self._check_nilpotent(r)
-            vec = self._flatten_morphism(r)
-            if linalg.RowSolver(rows, len(vec)).contains(vec):
-                continue
-            rows.append(vec)
-            radicals.append(r)
+            candidates.append(r)
+        radicals = [candidates[i] for i in
+                    linalg.independent([self._flatten_morphism(r) for r in candidates])]
         if len(radicals) != len(homs) - 1:
             raise NotLocalError("endomorphism ring is not local")
         return [ident] + radicals
@@ -235,19 +231,29 @@ class EndomorphismContext:
 
     @staticmethod
     def _flatten_morphism(f):
-        out = []
+        """Sparse vector of the vertex maps of f, each row-major, one after
+        another."""
+        vec = {}
+        col = 0
         for m in f.vertex_maps:
-            out.extend(linalg.flatten(m))
-        return out
+            for row in m:
+                for x in row:
+                    if x:
+                        vec[col] = x
+                    col += 1
+        return vec
 
-    def _hom_solver(self, a, b):
+    def _hom_rref(self, a, b):
+        """Width of the flattened Hom(U_a, U_b) and the RREF of its basis
+        with markers, for :func:`linalg.coordinates`."""
         key = (a, b)
-        if key not in self._solver:
+        if key not in self._hom_rrefs:
             rows = [self._flatten_morphism(f) for f in self.hom(a, b)]
             width = sum(self.universe[a].dims[v] * self.universe[b].dims[v]
                         for v in range(self.algebra.quiver.vertex_count))
-            self._solver[key] = linalg.RowSolver(rows, width)
-        return self._solver[key]
+            self._hom_rrefs[key] = (
+                width, linalg.rref(linalg.with_markers(rows, width), width + len(rows)))
+        return self._hom_rrefs[key]
 
     def compose_coords(self, dom, mid, cod, g_idx, f_idx):
         """Coordinates of f o g (g: U_dom -> U_mid first, then
@@ -255,10 +261,11 @@ class EndomorphismContext:
         key = (dom, mid, cod, g_idx, f_idx)
         if key not in self._compose:
             comp = self.hom(dom, mid)[g_idx].then(self.hom(mid, cod)[f_idx])
-            coords = self._hom_solver(dom, cod).coords(self._flatten_morphism(comp))
+            width, red = self._hom_rref(dom, cod)
+            coords = linalg.coordinates(red, width, self._flatten_morphism(comp))
             if coords is None:
                 raise ValueError("composite escaped the hom space; corrupt input")
-            self._compose[key] = tuple((z, c) for z, c in enumerate(coords) if c)
+            self._compose[key] = tuple(sorted(coords.items()))
         return self._compose[key]
 
     def is_isomorphic(self, a, b):
@@ -336,17 +343,14 @@ def is_qf2_algebra(c):
     for i in range(c.num_summands):
         for side in ("right", "left"):
             idxs = c.right_block(i) if side == "right" else c.left_block(i)
+            # x is in the socle when x g = 0 (g x = 0 on the left) for
+            # every generator g; the products fill disjoint column ranges
             rows = []
             for x in idxs:
-                row = []
-                for g in gens:
-                    vec = [Fraction(0)] * d
-                    prod = c.products[x][g] if side == "right" else c.products[g][x]
-                    for z, coeff in prod:
-                        vec[z] += coeff
-                    row.extend(vec)
-                rows.append(row)
-            soc_dim = len(idxs) - linalg.rank(rows)
+                rows.append({gi * d + z: coeff for gi, g in enumerate(gens)
+                             for z, coeff in (c.products[x][g] if side == "right"
+                                              else c.products[g][x])})
+            soc_dim = len(idxs) - linalg.rank(rows, len(gens) * d)
             if soc_dim != 1:
                 return False
     return True
@@ -358,25 +362,8 @@ def kupisch_of_endo(c):
     quiver = gabriel_quiver(c)
     if len(connected_components(quiver)) != 1:
         return None
-    shape = shape_classify(quiver)
-    if shape is QuiverShape.NOT_NAKAYAMA:
+    walk = kupisch_walk(quiver)
+    if walk is None:
         return None
-    n = c.num_summands
-    dims = [len(c.right_block(i)) for i in range(n)]
-    if shape is QuiverShape.LINEAR:
-        if n == 1:
-            return KupischSeries(QuiverShape.LINEAR, (dims[0],))
-        start = next(v for v in range(n) if not quiver.in_arrows[v])
-        order = _walk_quiver(quiver, start, n)
-        return KupischSeries(QuiverShape.LINEAR, tuple(dims[v] for v in order))
-    order = _walk_quiver(quiver, 0, n)
-    return KupischSeries(QuiverShape.CYCLIC, tuple(dims[v] for v in order)).canonical()
-
-
-def _walk_quiver(quiver, start, steps):
-    order = [start]
-    v = start
-    for _ in range(steps - 1):
-        v = quiver.arrows[quiver.out_arrows[v][0]].target
-        order.append(v)
-    return order
+    shape, order = walk
+    return KupischSeries(shape, tuple(len(c.right_block(v)) for v in order)).canonical()

@@ -185,20 +185,29 @@ def canonical_form(algebra):
     return repr(best).encode("ascii")
 
 
+def cached_canonical_form(algebra):
+    """:func:`canonical_form`, computed once per algebra object."""
+    key = ("canonical_form",)
+    if key not in algebra._cache:
+        algebra._cache[key] = canonical_form(algebra)
+    return algebra._cache[key]
+
+
+def algebras_over(quiver, max_relation_length):
+    """The monomial algebras over one quiver with relations up to the given
+    length, one representative per isomorphism class of presentations."""
+    seen = set()
+    for rel_tuples in admissible_relation_sets(quiver, max_relation_length):
+        algebra = MonomialAlgebra(quiver, _relation_paths(quiver, rel_tuples))
+        form = cached_canonical_form(algebra)
+        if form not in seen:
+            seen.add(form)
+            yield algebra
+
+
 def enumerate_monomial_algebras(bounds):
     """Stream every connected monomial algebra within the bounds, one
     representative per isomorphism class of presentations, in a
     deterministic canonical order."""
     for quiver in connected_quivers(bounds.max_vertices, bounds.max_arrows):
-        seen = set()
-        for rel_tuples in admissible_relation_sets(quiver, bounds.max_relation_length):
-            algebra = MonomialAlgebra(quiver, _relation_paths(quiver, rel_tuples))
-            form = canonical_form(algebra)
-            if form in seen:
-                continue
-            seen.add(form)
-            yield algebra
-
-
-def count_monomial_algebras(bounds):
-    return sum(1 for _ in enumerate_monomial_algebras(bounds))
+        yield from algebras_over(quiver, bounds.max_relation_length)

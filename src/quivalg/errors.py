@@ -25,6 +25,10 @@ class NotNakayamaError(QuivalgError):
     """The operation requires a Nakayama algebra."""
 
 
+class UniserialLengthError(QuivalgError, ValueError):
+    """No uniserial module has the requested top and composition length."""
+
+
 class ZeroModuleError(QuivalgError):
     """The operation is undefined for the zero module."""
 

@@ -14,6 +14,7 @@ from .endo import monomial_basic_algebra
 from .errors import DomDimZeroError
 from .monomial import Side
 from .representations import (
+    commutation_equations,
     homological_status,
     injective_envelope,
     projective_module,
@@ -186,34 +187,19 @@ def double_centralizer_check(algebra):
     vset = set(verts)
     blocks = {v: [p for p in algebra.basis if p.target == v] for v in verts}
     pos = {v: {p: i for i, p in enumerate(blocks[v])} for v in verts}
-    corner = [p for p in algebra.basis
-              if p.source in vset and p.target in vset and not p.is_trivial]
-    # unknown commutant blocks Phi_v, constrained by Phi_u R_p = R_p Phi_v
-    offsets = {}
-    total = 0
-    for v in verts:
-        offsets[v] = total
-        total += len(blocks[v]) ** 2
-    rows = []
-    for p in corner:
-        u, w = p.source, p.target
-        du, dw = len(blocks[u]), len(blocks[w])
-        rmat = linalg.zeros(du, dw)
-        for i, q in enumerate(blocks[u]):
-            prod = algebra.multiply(q, p)
-            if prod is not None:
-                rmat[i][pos[w][prod]] = 1
-        for r in range(du):
-            for c in range(dw):
-                row = [0] * total
-                for k in range(du):
-                    if rmat[k][c]:
-                        row[offsets[u] + r * du + k] += rmat[k][c]
-                for k in range(dw):
-                    if rmat[r][k]:
-                        row[offsets[w] + k * dw + c] -= rmat[r][k]
-                if any(row):
-                    rows.append(row)
-    dim_comm = total - linalg.rank(rows)
+    # the commutant blocks Phi_v satisfy Phi_u R_p = R_p Phi_w for every
+    # corner path p: u -> w acting on Af by right multiplication R_p
+    arrows = []
+    for p in algebra.basis:
+        if p.source in vset and p.target in vset and not p.is_trivial:
+            rmat = linalg.zeros(len(blocks[p.source]), len(blocks[p.target]))
+            for i, q in enumerate(blocks[p.source]):
+                prod = algebra.multiply(q, p)
+                if prod is not None:
+                    rmat[i][pos[p.target][prod]] = 1
+            arrows.append((p.source, p.target, rmat, rmat))
+    rows, _, width = commutation_equations(
+        [(v, len(blocks[v]), len(blocks[v])) for v in verts], arrows)
+    dim_comm = width - linalg.rank(rows, width)
     return DoubleCentralizerResult(dim_comm == algebra.dimension,
                                    algebra.dimension, dim_comm)

@@ -1,9 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of rows with ``int`` or ``Fraction`` entries; all
-arithmetic is exact.  An r x c matrix with r = 0 is the empty list and a
-matrix with c = 0 has empty rows, so functions that cannot infer a missing
-dimension take it explicitly.
+Dense matrices are plain lists of rows with ``int`` or ``Fraction``
+entries; all arithmetic is exact.  An r x c matrix with r = 0 is the empty
+list and a matrix with c = 0 has empty rows, so functions that cannot
+infer a missing dimension take it explicitly.  Representation maps are
+dense.
+
+Elimination works on sparse rows, ``{column: value}`` dicts, through the
+single kernel :func:`rref`.  Ranks, right kernels, quotient maps and
+coordinates over given rows are all read off its result.  Zero columns are
+never touched, and integers stay integers until a pivot division needs a
+``Fraction``.
 
 Vectors are treated as rows throughout the package: a linear map V -> W of
 dimensions d_V x d_W is a d_V x d_W matrix acting by ``v @ A``.
@@ -62,160 +69,127 @@ def mat_copy(a):
     return [list(row) for row in a]
 
 
-def flatten(a):
-    return [x for row in a for x in row]
-
-
 def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
-def rref(mat, ncols=None):
-    """Reduced row echelon form.
+def sparse(mat):
+    """The rows of a dense matrix as sparse rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
-    Returns ``(R, pivots)`` where R has Fraction entries, each pivot is 1
-    and pivot columns are cleared above and below.
+
+def dense(vec, ncols):
+    return [vec.get(j, 0) for j in range(ncols)]
+
+
+def _add(row, f, src):
+    """row += f * src in place, dropping the entries that cancel."""
+    for c, y in src.items():
+        x = row.get(c, 0) + f * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form of the span of sparse rows of width ncols.
+
+    Returns the unique RREF as ``{pivot: row}`` in increasing pivot order:
+    each row is 1 at its pivot, which is its least column, and has no entry
+    in any other pivot column.  Zero values in the input are ignored.
     """
-    r = [[Fraction(x) for x in row] for row in mat]
-    nrows = len(r)
-    if nrows:
-        ncols = len(r[0])
-    if ncols is None:
-        ncols = 0
-    pivots = []
-    pr = 0
-    for c in range(ncols):
-        if pr >= nrows:
+    red = {}
+    for row in rows:
+        if len(red) == ncols:
             break
-        sel = None
-        for i in range(pr, nrows):
-            if r[i][c]:
-                sel = i
-                break
-        if sel is None:
+        row = {c: x for c, x in row.items() if x}
+        for p in [c for c in row if c in red]:
+            _add(row, -row[p], red[p])
+        if not row:
             continue
-        r[pr], r[sel] = r[sel], r[pr]
-        inv = 1 / r[pr][c]
-        r[pr] = [x * inv for x in r[pr]]
-        for i in range(nrows):
-            if i != pr and r[i][c]:
-                f = r[i][c]
-                r[i] = [x - f * y for x, y in zip(r[i], r[pr])]
-        pivots.append(c)
-        pr += 1
-    return r, pivots
+        p = min(row)
+        lead = row[p]
+        if lead != 1:
+            inv = -1 if lead == -1 else Fraction(1, lead)
+            row = {c: x * inv for c, x in row.items()}
+        for other in red.values():
+            f = other.get(p)
+            if f:
+                _add(other, -f, row)
+        red[p] = row
+    return dict(sorted(red.items()))
 
 
-def rank(mat):
-    return len(rref(mat)[1])
+def rank(rows, ncols):
+    return len(rref(rows, ncols))
 
 
-def nullspace(mat, ncols):
-    """Basis of the right kernel {x : mat @ x = 0}, as a list of vectors."""
-    r, pivots = rref(mat, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(v)
+def _kernel(red, ncols):
+    """{free column f: kernel vector with 1 at f and 0 at the other free
+    columns}, read off an RREF."""
+    basis = {f: {f: 1} for f in range(ncols) if f not in red}
+    for p, row in red.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
     return basis
 
 
-def left_nullspace(mat, nrows):
-    """Basis of {x : x @ mat = 0}, as a list of row vectors."""
-    return nullspace(transpose(mat, 0) if not mat else transpose(mat), nrows)
-
-
-def row_space_basis(mat):
-    r, pivots = rref(mat)
-    return [r[i] for i in range(len(pivots))]
-
-
-class RowSolver:
-    """Expresses vectors as linear combinations of a fixed list of rows.
-
-    Elimination happens once at construction; ``coords`` then runs a back
-    substitution per query.  Used to resolve products against the basis of
-    a hom space and to build quotient projections.
-    """
-
-    def __init__(self, rows, ncols):
-        self.ncols = ncols
-        k = len(rows)
-        aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
-               for i, row in enumerate(rows)]
-        pivots = []
-        pr = 0
-        for c in range(ncols):
-            if pr >= k:
-                break
-            sel = None
-            for i in range(pr, k):
-                if aug[i][c]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            aug[pr], aug[sel] = aug[sel], aug[pr]
-            inv = 1 / aug[pr][c]
-            aug[pr] = [x * inv for x in aug[pr]]
-            for i in range(k):
-                if i != pr and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[pr])]
-            pivots.append(c)
-            pr += 1
-        self._reduced = [row[:ncols] for row in aug]
-        self._transform = [row[ncols:] for row in aug]
-        self._pivots = pivots
-
-    @property
-    def rank(self):
-        return len(self._pivots)
-
-    def coords(self, vec):
-        """Coefficients over the original rows, or None if vec is outside."""
-        v = [Fraction(x) for x in vec]
-        k = len(self._transform[0]) if self._transform else 0
-        coeff = [Fraction(0)] * k
-        for i, p in enumerate(self._pivots):
-            f = v[p]
-            if f:
-                red = self._reduced[i]
-                v = [x - f * y for x, y in zip(v, red)]
-                tr = self._transform[i]
-                coeff = [a + f * b for a, b in zip(coeff, tr)]
-        if any(v):
-            return None
-        return coeff
-
-    def contains(self, vec):
-        return self.coords(vec) is not None
+def nullspace(rows, ncols):
+    """Basis of the right kernel {x : row . x = 0 for every row}, as sparse
+    vectors in increasing order of their free column."""
+    return list(_kernel(rref(rows, ncols), ncols).values())
 
 
 def quotient_maps(rows, ncols):
     """Projection/section pair for the quotient of K^ncols by a row span.
 
-    Returns ``(dim, proj, sect)`` where proj is ncols x dim, sect is
-    dim x ncols, ``sect @ proj`` is the identity on the quotient and two
-    vectors have equal images under proj iff they differ by an element of
-    the span.
+    Returns ``(dim, proj, sect)`` as dense matrices, where proj is
+    ncols x dim with the kernel basis as its columns, sect is dim x ncols
+    and picks the free columns, ``sect @ proj`` is the identity on the
+    quotient, and two vectors have equal images under proj iff they differ
+    by an element of the span.
     """
-    r, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    dim = len(free)
+    kernel = _kernel(rref(rows, ncols), ncols)
+    dim = len(kernel)
     proj = zeros(ncols, dim)
-    for j, f in enumerate(free):
-        proj[f][j] = Fraction(1)
-        for i, p in enumerate(pivots):
-            proj[p][j] = -r[i][f]
     sect = zeros(dim, ncols)
-    for j, f in enumerate(free):
-        sect[j][f] = Fraction(1)
+    for j, (f, vec) in enumerate(kernel.items()):
+        sect[j][f] = 1
+        for c, x in vec.items():
+            proj[c][j] = x
     return dim, proj, sect
+
+
+def with_markers(rows, ncols):
+    """The rows with a unit marker for row i in column ncols + i; the RREF
+    of the result, of width ncols + len(rows), serves :func:`coordinates`."""
+    return [{**row, ncols + i: 1} for i, row in enumerate(rows)]
+
+
+def coordinates(red, ncols, vec):
+    """Coefficients ``{i: c}`` of the sparse vector vec over the rows whose
+    marked RREF is ``red``, or None when vec lies outside their span.
+
+    The coefficient of pivot row p is vec's value at p, so subtracting
+    those rows leaves zero on the first ncols columns exactly when vec lies
+    in the span, and minus the coefficients on the marker columns.
+    """
+    rest = dict(vec)
+    for p, x in vec.items():
+        if p in red:
+            _add(rest, -x, red[p])
+    if any(c < ncols for c in rest):
+        return None
+    return {c - ncols: -x for c, x in rest.items()}
+
+
+def independent(vectors):
+    """Indices of the sparse vectors that are not combinations of the
+    earlier ones: the pivot columns of the matrix with these columns."""
+    columns = {}
+    for i, vec in enumerate(vectors):
+        for c, x in vec.items():
+            columns.setdefault(c, {})[i] = x
+    return list(rref(list(columns.values()), len(vectors)))

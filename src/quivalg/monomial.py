@@ -127,12 +127,6 @@ class MonomialAlgebra:
     def dimension(self):
         return len(self.basis)
 
-    def contains(self, path):
-        return path in self._basis_index
-
-    def basis_position(self, path):
-        return self._basis_index[path]
-
     def paths_from(self, v):
         return [p for p in self.basis if p.source == v]
 

@@ -11,9 +11,9 @@ endomorphism algebras of generator-cogenerators.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InvalidKupischError, NotNakayamaError
+from .errors import InvalidKupischError, NotNakayamaError, UniserialLengthError
 from .monomial import MonomialAlgebra
-from .quiver import Arrow, Quiver, QuiverShape, shape_classify
+from .quiver import Arrow, Quiver, QuiverShape, kupisch_walk
 from . import linalg
 from .representations import Representation
 
@@ -103,27 +103,12 @@ def algebra_to_kupisch(algebra):
     Cyclic series are returned in rotation-canonical form; linear series
     follow the orientation of the chain.
     """
-    quiver = algebra.quiver
-    shape = shape_classify(quiver)
-    if shape is QuiverShape.NOT_NAKAYAMA:
+    walk = kupisch_walk(algebra.quiver)
+    if walk is None:
         return None
-    n = quiver.vertex_count
-    dims = [len(algebra.paths_from(v)) for v in range(n)]
-    if shape is QuiverShape.LINEAR:
-        sources = [v for v in range(n) if not quiver.in_arrows[v]]
-        order = _walk(quiver, sources[0], n)
-        return KupischSeries(shape, tuple(dims[v] for v in order))
-    order = _walk(quiver, 0, n)
-    return KupischSeries(shape, tuple(dims[v] for v in order)).canonical()
-
-
-def _walk(quiver, start, steps):
-    order = [start]
-    v = start
-    for _ in range(steps - 1):
-        v = quiver.arrows[quiver.out_arrows[v][0]].target
-        order.append(v)
-    return order
+    shape, order = walk
+    ks = KupischSeries(shape, tuple(len(algebra.paths_from(v)) for v in order))
+    return ks.canonical()
 
 
 def uniserial_module(algebra, top_vertex, length):
@@ -135,8 +120,8 @@ def uniserial_module(algebra, top_vertex, length):
         return algebra._cache[key]
     quiver = algebra.quiver
     if not 1 <= length <= len(algebra.paths_from(top_vertex)):
-        raise ValueError(
-            f"no uniserial of length {length} with top at {top_vertex}")
+        raise UniserialLengthError(
+            f"no uniserial of length {length} with top at vertex index {top_vertex}")
     verts = [top_vertex]
     steps = []
     p = quiver.trivial_path(top_vertex)
@@ -161,16 +146,6 @@ def uniserial_module(algebra, top_vertex, length):
     rep = Representation(algebra, dims, maps, validate=True)
     algebra._cache[key] = rep
     return rep
-
-
-def uniserial_id(algebra, rep):
-    """Complete invariant (top vertex, length) of a uniserial module."""
-    from .representations import top as top_of
-    t, _ = top_of(rep)
-    tops = [v for v, d in enumerate(t.dims) if d]
-    if len(tops) != 1 or t.dims[tops[0]] != 1:
-        raise NotNakayamaError("module is not uniserial: top is not simple")
-    return (tops[0], rep.total_dim)
 
 
 def injective_uniserial_id(algebra, v):

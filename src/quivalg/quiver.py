@@ -86,10 +86,6 @@ class Quiver:
     def trivial_path(self, v):
         return Path(v, v, ())
 
-    def arrow_path(self, idx):
-        a = self.arrows[idx]
-        return Path(a.source, a.target, (idx,))
-
     def path(self, names):
         """Path from a nonempty sequence of arrow names; validates composability."""
         idxs = tuple(self.arrow_index(n) for n in names)
@@ -119,21 +115,7 @@ class Quiver:
 
     @cached_property
     def _connected(self):
-        if self.vertex_count == 1:
-            return True
-        adj = [set() for _ in range(self.vertex_count)]
-        for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return len(connected_components(self)) == 1
 
 
 def compose(p, q):
@@ -167,6 +149,23 @@ def shape_classify(quiver):
             and all(i <= 1 for i in indeg) and all(o <= 1 for o in outdeg)):
         return QuiverShape.LINEAR
     return QuiverShape.NOT_NAKAYAMA
+
+
+def kupisch_walk(quiver):
+    """``(shape, order)`` for an oriented line or cycle, where order lists
+    the vertices along the arrows from the source of the line, or from
+    vertex 0 of the cycle; None for every other connected quiver."""
+    shape = shape_classify(quiver)
+    if shape is QuiverShape.NOT_NAKAYAMA:
+        return None
+    n = quiver.vertex_count
+    v = 0 if shape is QuiverShape.CYCLIC else next(
+        w for w in range(n) if not quiver.in_arrows[w])
+    order = [v]
+    for _ in range(n - 1):
+        v = quiver.arrows[quiver.out_arrows[v][0]].target
+        order.append(v)
+    return shape, order
 
 
 def permute_vertices(quiver, perm):

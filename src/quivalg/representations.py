@@ -96,18 +96,18 @@ class Morphism:
                 for v, (f, g) in enumerate(zip(self.vertex_maps, other.vertex_maps))]
         return Morphism(self.source, other.target, maps, validate=False)
 
-    def is_injective(self):
-        return all(linalg.rank(m) == self.source.dims[v]
+    def _has_ranks(self, dims):
+        return all(linalg.rank(linalg.sparse(m), self.target.dims[v]) == dims[v]
                    for v, m in enumerate(self.vertex_maps))
+
+    def is_injective(self):
+        return self._has_ranks(self.source.dims)
 
     def is_surjective(self):
-        return all(linalg.rank(m) == self.target.dims[v]
-                   for v, m in enumerate(self.vertex_maps))
+        return self._has_ranks(self.target.dims)
 
     def is_isomorphism(self):
-        return (self.source.dims == self.target.dims
-                and all(linalg.rank(m) == self.source.dims[v]
-                        for v, m in enumerate(self.vertex_maps)))
+        return self.source.dims == self.target.dims and self.is_injective()
 
     def __repr__(self):
         return f"Morphism({self.source.dims} -> {self.target.dims})"
@@ -209,6 +209,11 @@ def regular_module(algebra):
 # -- socle, radical, top, quotients -------------------------------------------
 
 
+def radical_rows(rep, v):
+    """Dense rows spanning rad M at v: the images of the arrows into v."""
+    return [row for a in rep.algebra.quiver.in_arrows[v] for row in rep.maps[a]]
+
+
 def socle(rep):
     """Largest semisimple submodule; returns (sub, inclusion).
 
@@ -219,14 +224,12 @@ def socle(rep):
     q = algebra.quiver
     rows_per_vertex = []
     for v in range(q.vertex_count):
-        d = rep.dims[v]
-        outs = q.out_arrows[v]
-        if not outs or d == 0:
-            rows_per_vertex.append(linalg.identity(d))
-            continue
-        stacked = [sum((list(rep.maps[a][r]) for a in outs), []) for r in range(d)]
-        width = sum(rep.dims[q.arrows[a].target] for a in outs)
-        rows_per_vertex.append(linalg.left_nullspace(stacked, d) if width else linalg.identity(d))
+        # x M_a = 0 is one equation per column of M_a
+        equations = [row for a in q.out_arrows[v]
+                     for row in linalg.sparse(linalg.transpose(
+                         rep.maps[a], rep.dims[q.arrows[a].target]))]
+        rows_per_vertex.append([linalg.dense(x, rep.dims[v])
+                                for x in linalg.nullspace(equations, rep.dims[v])])
     dims = [len(rows) for rows in rows_per_vertex]
     maps = [linalg.zeros(dims[a.source], dims[a.target]) for a in q.arrows]
     sub = Representation(algebra, dims, maps, validate=False)
@@ -238,26 +241,18 @@ def radical(rep):
     """The submodule generated by all arrow images; returns (sub, inclusion)."""
     algebra = rep.algebra
     q = algebra.quiver
-    basis_rows = []
-    for v in range(q.vertex_count):
-        stacked = []
-        for a in q.in_arrows[v]:
-            stacked.extend(rep.maps[a])
-        basis_rows.append(linalg.row_space_basis(stacked) if stacked else [])
-    dims = [len(rows) for rows in basis_rows]
-    solvers = [linalg.RowSolver(rows, rep.dims[v]) for v, rows in enumerate(basis_rows)]
+    reds = [linalg.rref(linalg.sparse(radical_rows(rep, v)), rep.dims[v])
+            for v in range(q.vertex_count)]
+    basis_rows = [[linalg.dense(row, rep.dims[v]) for row in red.values()]
+                  for v, red in enumerate(reds)]
+    dims = [len(red) for red in reds]
     maps = []
     for ai, a in enumerate(q.arrows):
-        m = []
-        for row in basis_rows[a.source]:
-            img = linalg.mat_mul([row], rep.maps[ai], bcols=rep.dims[a.target])[0]
-            coords = solvers[a.target].coords(img)
-            m.append(coords)
-        maps.append(m)
+        images = linalg.mat_mul(basis_rows[a.source], rep.maps[ai], bcols=rep.dims[a.target])
+        # coordinates over an RREF basis are the values at its pivots
+        maps.append([[img[p] for p in reds[a.target]] for img in images])
     sub = Representation(algebra, dims, maps, validate=False)
-    incl_maps = [rows if rows else linalg.zeros(0, rep.dims[v])
-                 for v, rows in enumerate(basis_rows)]
-    incl = Morphism(sub, rep, incl_maps, validate=False)
+    incl = Morphism(sub, rep, basis_rows, validate=False)
     return sub, incl
 
 
@@ -270,7 +265,8 @@ def quotient_by(rep, rows_per_vertex):
     projs = []
     sects = []
     for v in range(q.vertex_count):
-        dim, proj, sect = linalg.quotient_maps(rows_per_vertex[v], rep.dims[v])
+        dim, proj, sect = linalg.quotient_maps(linalg.sparse(rows_per_vertex[v]),
+                                               rep.dims[v])
         dims.append(dim)
         projs.append(proj)
         sects.append(sect)
@@ -287,14 +283,8 @@ def quotient_by(rep, rows_per_vertex):
 
 def top(rep):
     """Largest semisimple quotient M / rad M; returns (quotient, projection)."""
-    q = rep.algebra.quiver
-    rad_rows = []
-    for v in range(q.vertex_count):
-        stacked = []
-        for a in q.in_arrows[v]:
-            stacked.extend(rep.maps[a])
-        rad_rows.append(stacked)
-    return quotient_by(rep, rad_rows)
+    return quotient_by(rep, [radical_rows(rep, v)
+                             for v in range(rep.algebra.quiver.vertex_count)])
 
 
 def mod_socle(rep):
@@ -314,7 +304,7 @@ def projective_cover(rep):
     q = algebra.quiver
     generators = []  # (vertex, row vector in M_v lifting a top basis vector)
     for v in range(q.vertex_count):
-        _, _, sect = linalg.quotient_maps(_radical_rows(rep, v), rep.dims[v])
+        _, _, sect = linalg.quotient_maps(linalg.sparse(radical_rows(rep, v)), rep.dims[v])
         for row in sect:
             generators.append((v, row))
     if not generators:
@@ -345,13 +335,6 @@ def projective_cover(rep):
         vertex_maps.append(rows if rows else linalg.zeros(0, rep.dims[w]))
     proj_morphism = Morphism(cover, rep, vertex_maps, validate=False)
     return cover, proj_morphism
-
-
-def _radical_rows(rep, v):
-    rows = []
-    for a in rep.algebra.quiver.in_arrows[v]:
-        rows.extend(rep.maps[a])
-    return rows
 
 
 def injective_envelope(rep):
@@ -392,40 +375,53 @@ def homological_status(rep):
 # -- hom spaces and faithfulness ----------------------------------------------
 
 
+def commutation_equations(spaces, arrows):
+    """Sparse linear equations X_u N_a = M_a X_w in unknown blocks X_v.
+
+    ``spaces`` lists (v, dim M_v, dim N_v) and fixes the layout: X_v is
+    stored row-major from ``offsets[v]``.  ``arrows`` lists (u, w, M_a, N_a)
+    with dense M_a of shape dim M_u x dim M_w and N_a of shape
+    dim N_u x dim N_w.  Returns (rows, offsets, width) without zero rows.
+    """
+    offsets = {}
+    ncols = {}
+    width = 0
+    for v, dm, dn in spaces:
+        offsets[v] = width
+        ncols[v] = dn
+        width += dm * dn
+    rows = []
+    for u, w, ma, na in arrows:
+        ou, ow, nu, nw = offsets[u], offsets[w], ncols[u], ncols[w]
+        na_columns = [[(k, row[c]) for k, row in enumerate(na) if row[c]] for c in range(nw)]
+        for r, mrow in enumerate(ma):
+            mrow = [(k, x) for k, x in enumerate(mrow) if x]
+            for c in range(nw):
+                eq = {ow + k * nw + c: x for k, x in mrow}
+                for k, y in na_columns[c]:
+                    col = ou + r * nu + k
+                    x = eq.get(col, 0) - y
+                    if x:
+                        eq[col] = x
+                    else:
+                        del eq[col]
+                if eq:
+                    rows.append(eq)
+    return rows, offsets, width
+
+
 def hom_space(m, n):
     """A basis of Hom(M, N), found by solving the commutation equations."""
     if m.algebra != n.algebra:
         raise ValueError("hom_space needs modules over the same algebra")
     q = m.algebra.quiver
-    nverts = q.vertex_count
-    offsets = []
-    total = 0
-    for v in range(nverts):
-        offsets.append(total)
-        total += m.dims[v] * n.dims[v]
-    rows = []
-    for ai, a in enumerate(q.arrows):
-        u, w = a.source, a.target
-        ma, na = m.maps[ai], n.maps[ai]
-        for r in range(m.dims[u]):
-            for c in range(n.dims[w]):
-                row = [0] * total
-                for k in range(m.dims[w]):
-                    if ma[r][k]:
-                        row[offsets[w] + k * n.dims[w] + c] += ma[r][k]
-                for k in range(n.dims[u]):
-                    if na[k][c]:
-                        row[offsets[u] + r * n.dims[u] + k] -= na[k][c]
-                if any(row):
-                    rows.append(row)
-    kernel = linalg.nullspace(rows, total)
+    spaces = [(v, m.dims[v], n.dims[v]) for v in range(q.vertex_count)]
+    rows, offsets, width = commutation_equations(
+        spaces, [(a.source, a.target, m.maps[i], n.maps[i]) for i, a in enumerate(q.arrows)])
     morphisms = []
-    for vec in kernel:
-        maps = []
-        for v in range(nverts):
-            base = offsets[v]
-            maps.append([[vec[base + r * n.dims[v] + c] for c in range(n.dims[v])]
-                         for r in range(m.dims[v])])
+    for vec in linalg.nullspace(rows, width):
+        maps = [[[vec.get(offsets[v] + r * dn + c, 0) for c in range(dn)] for r in range(dm)]
+                for v, dm, dn in spaces]
         morphisms.append(Morphism(m, n, maps, validate=False))
     return morphisms
 
@@ -453,12 +449,11 @@ def annihilator_dimension(rep):
             width += rep.dims[p.source] * rep.dims[p.target]
     rows = []
     for p in algebra.basis:
-        row = [0] * width
         off = block_offsets[(p.source, p.target)]
-        flat = linalg.flatten(actions[p])
-        row[off:off + len(flat)] = flat
-        rows.append(row)
-    return algebra.dimension - linalg.rank(rows)
+        cols = rep.dims[p.target]
+        rows.append({off + i * cols + j: x for i, arow in enumerate(actions[p])
+                     for j, x in enumerate(arow) if x})
+    return algebra.dimension - linalg.rank(rows, width)
 
 
 def is_faithful(rep):

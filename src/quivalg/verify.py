@@ -22,7 +22,13 @@ from .endo import (
     kupisch_of_endo,
     monomial_basic_algebra,
 )
-from .enumeration import CorpusBounds, admissible_relation_sets, canonical_form, connected_quivers, enumerate_monomial_algebras
+from .enumeration import (
+    CorpusBounds,
+    algebras_over,
+    cached_canonical_form,
+    connected_quivers,
+    enumerate_monomial_algebras,
+)
 from .homological import (
     base_algebra,
     dominant_dimension,
@@ -30,7 +36,7 @@ from .homological import (
     is_selfinjective,
     minimal_faithful_proj_inj,
 )
-from .monomial import MonomialAlgebra, Side
+from .monomial import Side
 from .nakayama import (
     KupischSeries,
     algebra_to_kupisch,
@@ -43,7 +49,7 @@ from .nakayama import (
     kupisch_to_algebra,
     uniserial_module,
 )
-from .quiver import Arrow, Quiver, QuiverShape, shape_classify
+from .quiver import Arrow, Quiver, QuiverShape, kupisch_walk, shape_classify
 from .representations import homological_status, projective_module, socle
 
 SUITES = ("main-theorem", "yamagata", "qf2-chain", "morita", "cross-checks")
@@ -134,7 +140,7 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
     if pi_right is not None:
         dim_eae = monomial_basic_algebra(algebra, pi_right).dimension
     return {
-        "form": canonical_form(algebra).decode("ascii"),
+        "form": cached_canonical_form(algebra).decode("ascii"),
         "dim": algebra.dimension,
         "shape": shape_classify(algebra.quiver).value,
         "domdim": _domdim_dict(dominant_dimension(algebra, cutoff)),
@@ -167,27 +173,19 @@ def _quiver_payloads(bounds):
 def _facts_for_quiver(payload):
     n, pairs, max_rel, cutoff = payload
     quiver = Quiver(n, tuple(Arrow(f"a{i}", s, t) for i, (s, t) in enumerate(pairs)))
-    seen = set()
-    out = []
-    for rel_tuples in admissible_relation_sets(quiver, max_rel):
-        algebra = MonomialAlgebra(
-            quiver, tuple(quiver.path_from_indices(w) for w in rel_tuples))
-        form = canonical_form(algebra)
-        if form in seen:
-            continue
-        seen.add(form)
-        out.append(algebra_facts(algebra, cutoff))
-    return out
+    return [algebra_facts(algebra, cutoff) for algebra in algebras_over(quiver, max_rel)]
 
 
 def sweep_corpus(corpora, cutoff=DOMDIM_CUTOFF, workers=1):
     """Facts for every algebra of every corpus, partitioned per quiver and
-    merged in canonical order regardless of the worker count."""
+    merged in canonical order regardless of the worker count, which is
+    capped at the number of CPUs."""
     if isinstance(corpora, CorpusBounds):
         corpora = (corpora,)
     payloads = [(n, pairs, max_rel, cutoff)
                 for bounds in corpora
                 for n, pairs, max_rel in _quiver_payloads(bounds)]
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         chunks = [_facts_for_quiver(p) for p in payloads]
     else:
@@ -306,14 +304,10 @@ def run_main_theorem(bounds=DEFAULT_CORPORA, max_n=DEFAULT_MAX_N, max_c=DEFAULT_
     k_counts, k_ces = kupisch_side_checks(max_n, max_c, cmp_n, cmp_c)
     counts.update(k_counts)
     counterexamples.extend(k_ces)
-    return VerificationReport(
-        suite="main-theorem",
-        bounds={**_corpora_dict(bounds), "max_n": max_n, "max_c": max_c,
-                "comparison_max_n": cmp_n, "comparison_max_c": cmp_c},
-        counts=counts,
-        counterexamples=_sorted_counterexamples(counterexamples),
-        wall_time_seconds=time.time() - t0,
-    )
+    return suite_report("main-theorem",
+                        {**_corpora_dict(bounds), "max_n": max_n, "max_c": max_c,
+                         "comparison_max_n": cmp_n, "comparison_max_c": cmp_c},
+                        counts, counterexamples, t0)
 
 
 def qf2_chain_checks(facts):
@@ -351,11 +345,7 @@ def run_qf2_chain(bounds=DEFAULT_CORPORA, workers=1):
     t0 = time.time()
     facts = sweep_corpus(bounds, workers=workers)
     counts, counterexamples = qf2_chain_checks(facts)
-    return VerificationReport(
-        suite="qf2-chain", bounds=_corpora_dict(bounds), counts=counts,
-        counterexamples=_sorted_counterexamples(counterexamples),
-        wall_time_seconds=time.time() - t0,
-    )
+    return suite_report("qf2-chain", _corpora_dict(bounds), counts, counterexamples, t0)
 
 
 def cross_check_facts(facts):
@@ -413,7 +403,7 @@ def structural_oracle_checks(max_n, max_c):
                 "series": str(ks), "roundtrip": str(back),
             })
         dims = tuple(len(algebra.paths_from(v)) for v in range(ks.vertex_count))
-        walk_dims = _dims_along_walk(algebra, ks)
+        walk_dims = _dims_along_walk(algebra)
         if walk_dims != ks.lengths:
             counterexamples.append({
                 "implication": "projective dimensions match the series",
@@ -456,30 +446,15 @@ def run_cross_checks(bounds=DEFAULT_CORPORA, max_n=DEFAULT_MAX_N, max_c=DEFAULT_
     s_counts, s_ces = structural_oracle_checks(max_n, max_c)
     counts.update(s_counts)
     counterexamples.extend(s_ces)
-    return VerificationReport(
-        suite="cross-checks",
-        bounds={**_corpora_dict(bounds), "max_n": max_n, "max_c": max_c},
-        counts=counts,
-        counterexamples=_sorted_counterexamples(counterexamples),
-        wall_time_seconds=time.time() - t0,
-    )
+    return suite_report("cross-checks",
+                        {**_corpora_dict(bounds), "max_n": max_n, "max_c": max_c},
+                        counts, counterexamples, t0)
 
 
-def _dims_along_walk(algebra, ks):
-    if ks.shape is QuiverShape.LINEAR:
-        start = next(v for v in range(algebra.quiver.vertex_count)
-                     if not algebra.quiver.in_arrows[v])
-    else:
-        start = 0
-    v = start
-    dims = []
-    for _ in range(algebra.quiver.vertex_count):
-        dims.append(len(algebra.paths_from(v)))
-        outs = algebra.quiver.out_arrows[v]
-        if outs:
-            v = algebra.quiver.arrows[outs[0]].target
-    dims = tuple(dims)
-    if ks.shape is QuiverShape.CYCLIC:
+def _dims_along_walk(algebra):
+    shape, order = kupisch_walk(algebra.quiver)
+    dims = tuple(len(algebra.paths_from(v)) for v in order)
+    if shape is QuiverShape.CYCLIC:
         n = len(dims)
         dims = max(tuple(dims[(i + k) % n] for k in range(n)) for i in range(n))
     return dims
@@ -533,24 +508,15 @@ def run_yamagata(max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C):
                         "series": str(ks), "summands": list(map(list, cand)),
                         "detail": mismatch,
                     })
-    return VerificationReport(
-        suite="yamagata", bounds={"max_n": max_n, "max_c": max_c},
-        counts=counts, counterexamples=_sorted_counterexamples(counterexamples),
-        wall_time_seconds=time.time() - t0,
-    )
+    return suite_report("yamagata", {"max_n": max_n, "max_c": max_c},
+                        counts, counterexamples, t0)
 
 
 def _apt_mismatch(endo, cand, injective_ids):
     """Compare projective-injective vertices of a Nakayama End algebra with
     the injective summands of M, through the reconstructed Kupisch walk."""
-    quiver = gabriel_quiver(endo)
     n = endo.num_summands
-    shape = shape_classify(quiver)
-    if shape is QuiverShape.LINEAR:
-        start = next(v for v in range(n) if not quiver.in_arrows[v])
-    else:
-        start = 0
-    order = _quiver_walk(quiver, start, n)
+    shape, order = kupisch_walk(gabriel_quiver(endo))
     lengths = tuple(len(endo.right_block(i)) for i in order)
     recon = kupisch_to_algebra(KupischSeries(shape, lengths))
     pi_positions = {k for k in range(n)
@@ -559,15 +525,6 @@ def _apt_mismatch(endo, cand, injective_ids):
     if pi_positions != inj_positions:
         return {"proj_inj": sorted(pi_positions), "injective_summands": sorted(inj_positions)}
     return None
-
-
-def _quiver_walk(quiver, start, steps):
-    order = [start]
-    v = start
-    for _ in range(steps - 1):
-        v = quiver.arrows[quiver.out_arrows[v][0]].target
-        order.append(v)
-    return order
 
 
 def run_morita(max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C):
@@ -605,15 +562,32 @@ def run_morita(max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C):
                 base_ks = kupisch_of_endo(base_algebra(recon))
                 if base_ks is None or not is_selfinjective_kupisch(base_ks):
                     counterexamples.append({**entry, "implication": "base algebra is selfinjective"})
+    return suite_report("morita", {"max_n": max_n, "max_c": max_c},
+                        counts, counterexamples, t0)
+
+
+# The counts of the families each suite sweeps; a suite over an empty
+# family fails instead of passing vacuously.
+FAMILY_COUNTS = {
+    "main-theorem": ("algebras", "endo_instances", "comparison_series"),
+    "yamagata": ("series", "candidates"),
+    "qf2-chain": ("algebras",),
+    "morita": ("series", "instances"),
+    "cross-checks": ("algebras", "kupisch_series"),
+}
+
+
+def suite_report(suite, bounds, counts, counterexamples, started):
+    """The report of a suite started at time ``started``, with its
+    counterexamples in a fixed order."""
+    counterexamples = counterexamples + [
+        {"implication": "the swept family is nonempty", "count": name}
+        for name in FAMILY_COUNTS[suite] if not counts[name]]
     return VerificationReport(
-        suite="morita", bounds={"max_n": max_n, "max_c": max_c},
-        counts=counts, counterexamples=_sorted_counterexamples(counterexamples),
-        wall_time_seconds=time.time() - t0,
+        suite=suite, bounds=bounds, counts=counts,
+        counterexamples=sorted(counterexamples, key=lambda d: json.dumps(d, sort_keys=True)),
+        wall_time_seconds=time.time() - started,
     )
-
-
-def _sorted_counterexamples(items):
-    return sorted(items, key=lambda d: json.dumps(d, sort_keys=True))
 
 
 def run_suite(suite, bounds=None, max_n=None, max_c=None, workers=1):

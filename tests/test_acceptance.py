@@ -7,6 +7,7 @@ with relations up to length three).  Every test prints an explicit
 PASS/FAIL line; run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import pathlib
 import time
 
 import pytest
@@ -17,7 +18,12 @@ from quivalg.nakayama import KupischSeries, kupisch_to_algebra, uniserial_module
 from quivalg.quiver import QuiverShape
 from quivalg.representations import projective_module
 from quivalg.verify import (
+    COMPARISON_MAX_C,
+    COMPARISON_MAX_N,
     DEFAULT_CORPORA,
+    DEFAULT_MAX_C,
+    DEFAULT_MAX_N,
+    _corpora_dict,
     cross_check_facts,
     kupisch_side_checks,
     main_theorem_corpus_checks,
@@ -25,8 +31,11 @@ from quivalg.verify import (
     run_morita,
     run_yamagata,
     structural_oracle_checks,
+    suite_report,
     sweep_corpus,
 )
+
+REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +43,22 @@ def corpus():
     t0 = time.time()
     facts = sweep_corpus(DEFAULT_CORPORA)
     return {"facts": facts, "sweep_seconds": time.time() - t0}
+
+
+@pytest.fixture(scope="module")
+def kupisch_side():
+    return kupisch_side_checks(DEFAULT_MAX_N, DEFAULT_MAX_C, COMPARISON_MAX_N, COMPARISON_MAX_C)
+
+
+@pytest.fixture(scope="module")
+def structural():
+    return structural_oracle_checks(DEFAULT_MAX_N, DEFAULT_MAX_C)
+
+
+def _assert_golden(report):
+    """The committed report at default bounds, byte for byte."""
+    golden = (REPORTS / f"{report.suite}.json").read_bytes()
+    assert report.to_json().encode("utf-8") == golden, f"{report.suite} report changed"
 
 
 def _report(ok, label):
@@ -121,7 +146,8 @@ def test_criterion_5_base_algebra_is_nakayama(corpus):
 
 
 def test_criterion_6_yamagata_biconditional():
-    report = run_yamagata(3, 4)
+    report = run_yamagata(DEFAULT_MAX_N, DEFAULT_MAX_C)
+    _assert_golden(report)
     ok = report.passed and report.wall_time_seconds < 300
     _report(ok, f"criterion 6: Nakayama(End) <=> allowed summands and QF-2 always, "
                 f"{report.counts['candidates']} generator-cogenerators over "
@@ -130,8 +156,8 @@ def test_criterion_6_yamagata_biconditional():
                 f"{len(report.counterexamples)} counterexamples)")
 
 
-def test_criterion_7_kupisch_side_set_equality():
-    counts, ces = kupisch_side_checks(3, 4, 6, 8)
+def test_criterion_7_kupisch_side_set_equality(kupisch_side):
+    counts, ces = kupisch_side
     ok = not ces and counts["realized_series"] == counts["matched_series"] > 0
     _report(ok, "criterion 7: realized endomorphism Kupisch series == "
                 "domdim>=2 series with base in bounds "
@@ -154,17 +180,39 @@ def test_criterion_8_auslander_spot_check():
 
 
 def test_criterion_9_morita_forward():
-    report = run_morita(3, 4)
+    report = run_morita(DEFAULT_MAX_N, DEFAULT_MAX_C)
+    _assert_golden(report)
     _report(report.passed,
             f"criterion 9: selfinjective series give Nakayama End algebras with "
             f"selfinjective base and domdim>=2, {report.counts['instances']} "
             f"instances ({len(report.counterexamples)} counterexamples)")
 
 
-def test_criterion_10_structural_oracles():
-    counts, ces = structural_oracle_checks(3, 4)
+def test_criterion_10_structural_oracles(structural):
+    counts, ces = structural
     ok = (not ces and counts["kupisch_2_3"] == 7
           and counts["loop_algebras_1_1_3"] == 3)
     _report(ok, f"criterion 10: Kupisch roundtrips and selfinjectivity oracle over "
                 f"{counts['kupisch_series']} series; 7 series at (2,3); "
                 f"3 one-loop algebras ({len(ces)} counterexamples)")
+
+
+def test_main_theorem_report_is_golden(corpus, kupisch_side):
+    counts, ces = main_theorem_corpus_checks(corpus["facts"])
+    counts.update(kupisch_side[0])
+    bounds = {**_corpora_dict(DEFAULT_CORPORA), "max_n": DEFAULT_MAX_N,
+              "max_c": DEFAULT_MAX_C, "comparison_max_n": COMPARISON_MAX_N,
+              "comparison_max_c": COMPARISON_MAX_C}
+    _assert_golden(suite_report("main-theorem", bounds, counts, ces + kupisch_side[1], 0.0))
+
+
+def test_qf2_chain_report_is_golden(corpus):
+    counts, ces = qf2_chain_checks(corpus["facts"])
+    _assert_golden(suite_report("qf2-chain", _corpora_dict(DEFAULT_CORPORA), counts, ces, 0.0))
+
+
+def test_cross_checks_report_is_golden(corpus, structural):
+    counts, ces = cross_check_facts(corpus["facts"])
+    counts.update(structural[0])
+    bounds = {**_corpora_dict(DEFAULT_CORPORA), "max_n": DEFAULT_MAX_N, "max_c": DEFAULT_MAX_C}
+    _assert_golden(suite_report("cross-checks", bounds, counts, ces + structural[1], 0.0))

@@ -182,3 +182,65 @@ def test_cli_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("vertices: 1\n"))
     assert main(["check", "-"]) == 0
     assert "dimension: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["coresolve", "FILE", "--terms", "0"],
+    ["domdim", "FILE", "--cutoff", "0"],
+    ["domdim", "FILE", "--cutoff", "-3"],
+])
+def test_cli_rejects_nonpositive_counts(tmp_path, capsys, argv):
+    path = tmp_path / "alg.txt"
+    path.write_text(GOOD)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_endo_uniserial_out_of_range(capsys):
+    code = main(["endo", "--kupisch", "linear:2,1", "--summands", "top=1,len=9"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("quivalg: no uniserial of length 9") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["verify", "yamagata", "--max-n", "0"], "--max-n: must be at least 1"),
+    (["verify", "morita", "--max-c", "0"], "--max-c: must be at least 1"),
+    (["verify", "cross-checks", "--max-vertices", "1", "--max-arrows", "0",
+      "--max-rel-len", "1"], "--max-rel-len: must be at least 2"),
+    (["verify", "qf2-chain", "--max-vertices", "0", "--max-arrows", "0",
+      "--max-rel-len", "2"], "--max-vertices: must be at least 1"),
+    (["verify", "qf2-chain", "--max-vertices", "1", "--max-arrows", "-1",
+      "--max-rel-len", "2"], "--max-arrows: must be at least 0"),
+    (["verify", "qf2-chain", "--workers", "0"], "--workers: must be at least 1"),
+])
+def test_cli_verify_rejects_bad_bounds(capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert fragment in capsys.readouterr().err
+
+
+def test_cli_verify_empty_family_fails(capsys):
+    # no constant cyclic series has lengths <= 1, so morita sweeps nothing
+    assert main(["verify", "morita", "--max-c", "1"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert {ce["count"] for ce in report["counterexamples"]} == {"series", "instances"}
+
+
+def test_cli_verify_workers_capped_at_cpu_count(monkeypatch, capsys):
+    import multiprocessing
+
+    from quivalg import verify
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert main(["verify", "qf2-chain", "--max-vertices", "1", "--max-arrows", "1",
+                 "--max-rel-len", "2", "--workers", "4"]) == 0

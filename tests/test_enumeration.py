@@ -5,6 +5,8 @@ import pytest
 from quivalg.enumeration import (
     CorpusBounds,
     admissible_relation_sets,
+    algebras_over,
+    cached_canonical_form,
     canonical_form,
     connected_quivers,
     enumerate_monomial_algebras,
@@ -139,5 +141,22 @@ def test_stream_has_no_duplicates_and_valid_members():
 
 def test_branching_algebra_is_in_its_corpus(branching_algebra):
     target = canonical_form(branching_algebra)
-    assert any(canonical_form(a) == target
+    assert any(cached_canonical_form(a) == target
                for a in enumerate_monomial_algebras(CorpusBounds(5, 4, 2)))
+
+
+def test_stream_computes_each_canonical_form_once(monkeypatch):
+    from quivalg import enumeration
+    calls = []
+    real = enumeration.canonical_form
+    monkeypatch.setattr(enumeration, "canonical_form", lambda a: calls.append(a) or real(a))
+    algebras = list(enumerate_monomial_algebras(CorpusBounds(2, 2, 2)))
+    streamed = len(calls)
+    assert [cached_canonical_form(a) for a in algebras] == [real(a) for a in algebras]
+    assert len(calls) == streamed
+
+
+def test_stream_is_the_union_over_quivers():
+    bounds = CorpusBounds(2, 2, 3)
+    per_quiver = [a for q in connected_quivers(2, 2) for a in algebras_over(q, 3)]
+    assert per_quiver == list(enumerate_monomial_algebras(bounds))

@@ -2,95 +2,171 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import dense_linalg as oracle
 from quivalg import linalg
 
 
-small_matrices = st.integers(0, 4).flatmap(
-    lambda r: st.integers(0, 4).flatmap(
-        lambda c: st.lists(st.lists(st.integers(-4, 4), min_size=c, max_size=c),
-                           min_size=r, max_size=r)))
+def matrices(max_rows, max_cols, entries):
+    """(dense matrix, column count); the count is drawn first, so 0-row and
+    0-column shapes both occur."""
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                     min_size=shape[0], max_size=shape[0]),
+            st.just(shape[1])))
+
+
+small_matrices = matrices(4, 4, st.integers(-4, 4))
+# wide rows that are mostly zero, as the commutation equations are
+wide_matrices = matrices(7, 40, st.sampled_from([0] * 12 + [1, -1, 2, -3]))
+
+
+@st.composite
+def dependent_matrices(draw):
+    """Rows that are integer combinations of a few base rows."""
+    base, ncols = draw(matrices(3, 8, st.integers(-3, 3)))
+    count = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(count):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(ncols)])
+    return rows, ncols
+
+
+any_matrices = st.one_of(small_matrices, wide_matrices, dependent_matrices())
 
 
 def test_rref_known():
-    r, pivots = linalg.rref([[2, 4], [1, 2]])
-    assert pivots == [0]
-    assert r[0] == [1, 2]
-    assert r[1] == [0, 0]
+    red = linalg.rref([{0: 2, 1: 4}, {0: 1, 1: 2}], 2)
+    assert red == {0: {0: 1, 1: 2}}
 
 
 def test_rank_and_nullspace_known():
-    m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert linalg.rank(m) == 2
+    m = linalg.sparse([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert linalg.rank(m, 3) == 2
     ns = linalg.nullspace(m, 3)
     assert len(ns) == 1
     v = ns[0]
     for row in m:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+        assert sum(x * v.get(j, 0) for j, x in row.items()) == 0
 
 
 def test_empty_shapes():
-    assert linalg.rank([]) == 0
-    assert linalg.nullspace([], 3) == [
-        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.rank([], 0) == 0
+    assert linalg.rref([{}, {}], 0) == {}
+    assert linalg.nullspace([], 0) == []
+    assert linalg.nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert linalg.quotient_maps([], 0) == (0, [], [])
     assert linalg.mat_mul([], [[1]], bcols=1) == []
     assert linalg.mat_mul([[], []], [], bcols=3) == [[0, 0, 0], [0, 0, 0]]
+    red = linalg.rref(linalg.with_markers([], 3), 3)
+    assert linalg.coordinates(red, 3, {}) == {}
+    assert linalg.coordinates(red, 3, {1: 2}) is None
+    assert linalg.independent([]) == []
+
+
+def test_zero_values_are_ignored():
+    assert linalg.rref([{0: 0, 1: 2}, {1: 0}], 2) == {1: {1: 1}}
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
-def test_rank_nullity(m):
-    cols = len(m[0]) if m else 0
-    assert linalg.rank(m) + len(linalg.nullspace(m, cols)) == cols
+def test_rank_nullity(case):
+    m, cols = case
+    rows = linalg.sparse(m)
+    assert linalg.rank(rows, cols) + len(linalg.nullspace(rows, cols)) == cols
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices)
-def test_nullspace_vectors_lie_in_kernel(m):
-    cols = len(m[0]) if m else 0
-    for v in linalg.nullspace(m, cols):
+@given(any_matrices)
+def test_nullspace_vectors_lie_in_kernel(case):
+    m, cols = case
+    for v in linalg.nullspace(linalg.sparse(m), cols):
         for row in m:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert sum(a * v.get(j, 0) for j, a in enumerate(row)) == 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices)
-def test_rref_idempotent(m):
-    cols = len(m[0]) if m else 0
-    r1, p1 = linalg.rref(m, cols)
-    r2, p2 = linalg.rref(r1, cols)
-    assert r1 == r2 and p1 == p2
+@given(any_matrices)
+def test_rref_idempotent(case):
+    m, cols = case
+    red = linalg.rref(linalg.sparse(m), cols)
+    assert linalg.rref(list(red.values()), cols) == red
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_matrices)
+def test_rref_matches_dense_oracle(case):
+    m, cols = case
+    red = linalg.rref(linalg.sparse(m), cols)
+    r, pivots = oracle.rref(m, cols)
+    assert list(red) == pivots
+    assert [linalg.dense(row, cols) for row in red.values()] == r[:len(pivots)]
+    assert linalg.rank(linalg.sparse(m), cols) == oracle.rank(m, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_matrices)
+def test_nullspace_matches_dense_oracle(case):
+    m, cols = case
+    got = [linalg.dense(v, cols) for v in linalg.nullspace(linalg.sparse(m), cols)]
+    assert got == oracle.nullspace(m, cols)
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices, st.lists(st.integers(-3, 3), min_size=4, max_size=4))
-def test_row_solver_reconstructs(m, coeffs):
-    if not m:
-        return
-    cols = len(m[0])
-    coeffs = coeffs[:len(m)] + [0] * max(0, len(m) - 4)
+@given(any_matrices, st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+def test_coordinates_reconstruct(case, coeffs):
+    m, cols = case
     vec = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(cols)]
-    solver = linalg.RowSolver(m, cols)
-    got = solver.coords(vec)
+    red = linalg.rref(linalg.with_markers(linalg.sparse(m), cols), cols + len(m))
+    got = linalg.coordinates(red, cols, linalg.sparse([vec])[0])
     assert got is not None
-    rebuilt = [sum(c * row[j] for c, row in zip(got, m)) for j in range(cols)]
-    assert rebuilt == [Fraction(x) for x in vec]
+    rebuilt = [sum(c * m[i][j] for i, c in got.items()) for j in range(cols)]
+    assert rebuilt == vec
 
 
-def test_row_solver_rejects_outside_vector():
-    solver = linalg.RowSolver([[1, 0]], 2)
-    assert solver.coords([0, 1]) is None
-    assert solver.coords([3, 0]) == [Fraction(3)]
+@settings(max_examples=100, deadline=None)
+@given(any_matrices, st.data())
+def test_coordinates_decide_membership_like_the_oracle(case, data):
+    m, cols = case
+    vec = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=cols, max_size=cols))
+    red = linalg.rref(linalg.with_markers(linalg.sparse(m), cols), cols + len(m))
+    inside = oracle.rank(m + [vec], cols) == oracle.rank(m, cols)
+    assert (linalg.coordinates(red, cols, linalg.sparse([vec])[0]) is not None) == inside
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrices)
-def test_quotient_maps_properties(rows):
-    cols = len(rows[0]) if rows else 3
-    dim, proj, sect = linalg.quotient_maps(rows, cols)
-    assert dim == cols - linalg.rank(rows)
+def test_coordinates_reject_outside_vector():
+    red = linalg.rref(linalg.with_markers([{0: 1}], 2), 3)
+    assert linalg.coordinates(red, 2, {1: 1}) is None
+    assert linalg.coordinates(red, 2, {0: 3}) == {0: 3}
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_matrices)
+def test_independent_is_the_greedy_basis(case):
+    m, cols = case
+    expected = [i for i in range(len(m))
+                if oracle.rank(m[:i + 1], cols) > oracle.rank(m[:i], cols)]
+    assert linalg.independent(linalg.sparse(m)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_matrices)
+def test_quotient_maps_properties(case):
+    rows, cols = case
+    dim, proj, sect = linalg.quotient_maps(linalg.sparse(rows), cols)
+    assert dim == cols - oracle.rank(rows, cols)
+    # the projection has the oracle's kernel basis as its columns
+    assert linalg.transpose(proj, dim) == oracle.nullspace(rows, cols)
     # the section is a right inverse of the projection
-    assert linalg.mat_mul(sect, proj, bcols=dim) == linalg.identity(dim) or dim == 0
+    assert linalg.mat_mul(sect, proj, bcols=dim) == linalg.identity(dim)
     # the row span projects to zero
     for row in rows:
         image = linalg.mat_mul([row], proj, bcols=dim)[0]
         assert all(x == 0 for x in image)
+
+
+def test_integers_stay_integers_without_pivot_division():
+    red = linalg.rref([{0: 1, 2: 3}, {1: -1, 2: 4}], 3)
+    assert all(type(x) is int for row in red.values() for x in row.values())
+    assert linalg.rref([{0: 2, 1: 1}], 2) == {0: {0: 1, 1: Fraction(1, 2)}}

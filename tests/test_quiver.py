@@ -9,6 +9,7 @@ from quivalg.quiver import (
     connected_components,
     induced_subquiver,
     is_connected,
+    kupisch_walk,
     permute_vertices,
     shape_classify,
 )
@@ -108,3 +109,12 @@ def test_path_validation():
         q.path(["a1", "a2"])
     assert q.is_valid_path(q.path(["a1", "a3"]))
     assert not q.is_valid_path(type(q.path(["a1"]))(0, 4, (0, 1)))
+
+
+def test_kupisch_walk():
+    line = Quiver.from_arrows(3, [("a", 2, 0), ("b", 1, 2)])
+    assert kupisch_walk(line) == (QuiverShape.LINEAR, [1, 2, 0])
+    cycle = Quiver.from_arrows(3, [("a", 0, 2), ("b", 2, 1), ("c", 1, 0)])
+    assert kupisch_walk(cycle) == (QuiverShape.CYCLIC, [0, 2, 1])
+    assert kupisch_walk(Quiver.from_arrows(1, [])) == (QuiverShape.LINEAR, [0])
+    assert kupisch_walk(paper_quiver()) is None

@@ -17,6 +17,7 @@ from quivalg.verify import (
     run_suite,
     run_yamagata,
     structural_oracle_checks,
+    suite_report,
     sweep_corpus,
 )
 
@@ -127,3 +128,23 @@ def test_cross_checks_tiny():
     r = run_cross_checks(TINY, max_n=2, max_c=2)
     assert r.passed
     assert r.counts["dc_holds"] <= r.counts["domdim_ge1"]
+
+
+def test_algebra_facts_reuse_the_streamed_canonical_form(monkeypatch):
+    from quivalg import enumeration
+    algebra = next(iter(enumeration.enumerate_monomial_algebras(CorpusBounds(2, 2, 2))))
+    form = enumeration.canonical_form(algebra)
+
+    def recomputed(algebra):
+        raise AssertionError("canonical form computed twice")
+
+    monkeypatch.setattr(enumeration, "canonical_form", recomputed)
+    assert algebra_facts(algebra)["form"] == form.decode("ascii")
+
+
+def test_empty_families_fail():
+    report = run_morita(0, 4)
+    assert not report.passed
+    assert {ce["count"] for ce in report.counterexamples} == {"series", "instances"}
+    counts, ces = qf2_chain_checks([])
+    assert not suite_report("qf2-chain", {}, counts, ces, 0.0).passed
