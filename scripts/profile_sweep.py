@@ -5,6 +5,7 @@ shapes, and double-centraliser outcomes.
 Usage: profile_sweep.py [V,E,L] [--workers N]
 """
 
+import argparse
 import sys
 import time
 from collections import Counter
@@ -13,19 +14,33 @@ from quivalg.enumeration import CorpusBounds
 from quivalg.verify import DEFAULT_CORPORA, sweep_corpus
 
 
+def corpus_bounds(text):
+    """An argparse type for one V,E,L bound triple."""
+    fields = text.split(",")
+    if len(fields) != 3:
+        raise argparse.ArgumentTypeError(f"expected V,E,L, got {text!r}")
+    try:
+        return CorpusBounds(*(int(x) for x in fields))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv):
-    corpora = DEFAULT_CORPORA
-    workers = 1
-    args = list(argv)
-    if "--workers" in args:
-        i = args.index("--workers")
-        workers = int(args[i + 1])
-        del args[i:i + 2]
-    if args:
-        v, e, l = (int(x) for x in args[0].split(","))
-        corpora = (CorpusBounds(v, e, l),)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("bounds", nargs="?", type=corpus_bounds,
+                        help="corpus bounds V,E,L (default: the default corpora)")
+    parser.add_argument("--workers", type=positive_int, default=1)
+    args = parser.parse_args(argv)
+    corpora = DEFAULT_CORPORA if args.bounds is None else (args.bounds,)
     t0 = time.time()
-    facts = sweep_corpus(corpora, workers=workers)
+    facts = sweep_corpus(corpora, workers=args.workers)
     elapsed = time.time() - t0
     domdims = Counter()
     shapes = Counter()
@@ -35,7 +50,7 @@ def main(argv):
         domdims["infinity" if d["kind"] == "infinite" else str(d["value"])] += 1
         shapes[f["shape"]] += 1
         dc[f["dc_holds"]] += 1
-    print(f"{len(facts)} algebras in {elapsed:.1f}s ({workers} workers)")
+    print(f"{len(facts)} algebras in {elapsed:.1f}s ({args.workers} workers)")
     print("dominant dimension:", dict(sorted(domdims.items())))
     print("quiver shape:", dict(sorted(shapes.items())))
     print("double centraliser:", {str(k): v for k, v in sorted(dc.items())})

@@ -33,6 +33,7 @@ from .homological import (
     injective_coresolution,
     is_selfinjective,
     minimal_faithful_proj_inj,
+    projective_injective_vertices,
 )
 from .nakayama import (
     KupischSeries,
@@ -101,6 +102,7 @@ __all__ = [
     "kupisch_to_algebra",
     "minimal_faithful_proj_inj",
     "parse_kupisch",
+    "projective_injective_vertices",
     "shape_classify",
     "uniserial_module",
     "__version__",

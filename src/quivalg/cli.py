@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from importlib import resources
+from itertools import islice
 
 from . import __version__
 from .endo import (
@@ -44,7 +45,7 @@ from .nakayama import (
     uniserial_module,
 )
 from .quiver import Quiver, shape_classify
-from .representations import homological_status
+from .representations import quotient_by
 from .verify import DEFAULT_CORPORA, DEFAULT_MAX_C, DEFAULT_MAX_N, SUITES, run_suite
 
 
@@ -154,8 +155,11 @@ def paper_example():
 
 
 def _parse_summand_tokens(spec, algebra):
+    tokens = spec.split()
+    if not tokens:
+        raise QuivalgError("no summands given")
     ids = []
-    for tok in spec.split():
+    for tok in tokens:
         try:
             if tok.startswith("top="):
                 fields = dict(kv.split("=", 1) for kv in tok.split(","))
@@ -261,15 +265,15 @@ def _cmd_domdim(algebra, cutoff):
 
 
 def _cmd_coresolve(algebra, terms):
-    core = injective_coresolution(algebra, terms)
-    for k, term in enumerate(core.terms):
-        status = homological_status(term)
+    for k, (term, emb, projective) in enumerate(islice(injective_coresolution(algebra), terms)):
         print(f"I_{k}: dims {tuple(term.dims)} total {term.total_dim} "
-              f"projective={'yes' if status.is_projective else 'no'}")
-    if core.terminated:
-        print(f"coresolution terminates after {len(core.terms)} terms")
+              f"projective={'yes' if projective else 'no'}")
+    # the generator stops early only at a zero cokernel; at the limit the
+    # last cokernel is checked here, without building the next envelope
+    if k + 1 < terms or quotient_by(term, emb.vertex_maps)[0].is_zero:
+        print(f"coresolution terminates after {k + 1} terms")
     else:
-        print(f"truncated at {core.truncated_at} terms")
+        print(f"truncated at {terms} terms")
     return 0
 
 

@@ -269,6 +269,9 @@ class EndomorphismContext:
         return self._compose[key]
 
     def is_isomorphic(self, a, b):
+        """Complete for indecomposable U_a, U_b: the non-isomorphisms form a
+        proper subspace of Hom(U_a, U_b), so a basis element is an
+        isomorphism whenever one exists."""
         if self.universe[a].dims != self.universe[b].dims:
             return False
         if a == b:

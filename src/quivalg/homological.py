@@ -1,13 +1,17 @@
 """Dominant dimension and the double centraliser test.
 
-The minimal injective coresolution of the regular module is built term by
-term through exact injective envelopes and cokernels; the dominant
-dimension counts its leading projective terms.  The corner algebra fAf of
-the minimal faithful projective-injective left module and the commutant of
-its right action on Af give the double centraliser check.
+Which indecomposable projectives are injective is decided once per algebra
+and cached as a per-vertex table; selfinjectivity, the minimal faithful
+projective-injective module and the projectivity of coresolution terms are
+all read from it.  The minimal injective coresolution of the regular module
+is generated lazily through exact injective envelopes and cokernels; the
+dominant dimension counts its leading projective terms.  The corner algebra
+fAf of the minimal faithful projective-injective left module and the
+commutant of its right action on Af give the double centraliser check.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import linalg
 from .endo import monomial_basic_algebra
@@ -57,65 +61,64 @@ class DomDim:
         return str(self.value)
 
 
-@dataclass
-class Coresolution:
-    """Leading terms of the minimal injective coresolution of the regular
-    module: embeddings N_k -> I_k and cokernel projections I_k -> N_{k+1}."""
+def projective_injective_vertices(algebra):
+    """The vertices v whose indecomposable projective P_v is injective.
 
-    terms: list
-    embeddings: list
-    cokernel_maps: list
-    truncated_at: int
-    terminated: bool
+    Computed once per algebra by the elimination oracle
+    :func:`homological_status` and cached with the algebra's modules; every
+    other projective-injectivity question reads this table.
+    """
+    key = ("proj_inj",)
+    if key not in algebra._cache:
+        algebra._cache[key] = tuple(
+            v for v in range(algebra.quiver.vertex_count)
+            if homological_status(projective_module(algebra, v)).is_injective)
+    return algebra._cache[key]
 
 
-def injective_coresolution(algebra, cutoff):
-    """Compute terms I_0, ..., stopping at a zero cokernel or after
-    ``cutoff`` terms; minimality comes from the envelope construction."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+def injective_coresolution(algebra):
+    """Lazily yield the terms of the minimal injective coresolution of the
+    regular module as (I_k, embedding N_k -> I_k, projective flag), where
+    N_0 = A and N_{k+1} is the cokernel of the k-th embedding; stops at a
+    zero cokernel.  Minimality comes from the envelope construction.
+
+    I_k is the sum of the injectives I_s = D(P_s) over the summand vertices
+    s of its envelope, where P_s is projective over the opposite algebra.
+    D takes injective modules over the opposite algebra to projective ones,
+    so I_k is projective exactly when every s lies in the
+    projective-injective table of the opposite algebra.
+    """
+    opposite_table = projective_injective_vertices(algebra.opposite())
     current = regular_module(algebra)
-    terms = []
-    embeddings = []
-    cokernels = []
-    terminated = False
-    while len(terms) < cutoff:
-        if current.is_zero:
-            terminated = True
-            break
-        env, emb = injective_envelope(current)
-        terms.append(env)
-        embeddings.append(emb)
-        coker, pr = quotient_by(env, emb.vertex_maps)
-        cokernels.append(pr)
-        current = coker
-    if current.is_zero:
-        terminated = True
-    return Coresolution(terms, embeddings, cokernels, cutoff, terminated)
+    while not current.is_zero:
+        env, emb, vertices = injective_envelope(current)
+        yield env, emb, all(s in opposite_table for s in vertices)
+        current = quotient_by(env, emb.vertex_maps)[0]
 
 
 def is_selfinjective(algebra):
     """True when the regular right module is injective."""
-    return homological_status(regular_module(algebra)).is_injective
+    return len(projective_injective_vertices(algebra)) == algebra.quiver.vertex_count
 
 
 def dominant_dimension(algebra, cutoff=12):
     """Number of leading projective terms of the minimal injective
     coresolution; 0 when the first term is not projective, infinite for
-    selfinjective algebras, a lower bound when the cutoff is reached."""
-    if is_selfinjective(algebra):
+    selfinjective algebras and when the coresolution ends within the cutoff
+    with all terms projective, a lower bound when ``cutoff`` terms are all
+    projective.  No envelope is built past the first non-projective term or
+    the cutoff-th term."""
+    # A is selfinjective exactly when its opposite is, and the opposite's
+    # table is the one the coresolution reads
+    if is_selfinjective(algebra.opposite()):
         return DomDim.infinite()
-    current = regular_module(algebra)
     produced = 0
-    while produced < cutoff:
-        if current.is_zero:
-            # finite injective dimension with all terms projective
-            return DomDim.infinite()
-        env, emb = injective_envelope(current)
-        if not homological_status(env).is_projective:
+    for _, _, projective in islice(injective_coresolution(algebra), cutoff):
+        if not projective:
             return DomDim.finite(produced)
         produced += 1
-        current = quotient_by(env, emb.vertex_maps)[0]
+    if produced < cutoff:
+        return DomDim.infinite()
     return DomDim.at_least(cutoff)
 
 
@@ -149,13 +152,10 @@ def minimal_faithful_proj_inj(algebra, side=Side.RIGHT):
     injective, when their direct sum is faithful; None otherwise (dominant
     dimension zero)."""
     work = algebra if side is Side.RIGHT else algebra.opposite()
-    verts = [v for v in range(work.quiver.vertex_count)
-             if homological_status(projective_module(work, v)).is_injective]
-    if not verts:
+    verts = projective_injective_vertices(work)
+    if not verts or not _suffix_faithful(work, verts):
         return None
-    if not _suffix_faithful(work, verts):
-        return None
-    return tuple(verts)
+    return verts
 
 
 def base_algebra(algebra):

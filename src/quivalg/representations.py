@@ -297,7 +297,9 @@ def mod_socle(rep):
 
 
 def projective_cover(rep):
-    """Minimal projective cover; returns (P, surjection P -> M)."""
+    """Minimal projective cover; returns (P, surjection P -> M, vertices),
+    where P is the direct sum of the P_v over ``vertices``, one per basis
+    vector of top(M)."""
     if rep.is_zero:
         raise ZeroModuleError("the zero module has no projective cover here")
     algebra = rep.algebra
@@ -334,11 +336,13 @@ def projective_cover(rep):
             rows.extend(blocks[gi][w])
         vertex_maps.append(rows if rows else linalg.zeros(0, rep.dims[w]))
     proj_morphism = Morphism(cover, rep, vertex_maps, validate=False)
-    return cover, proj_morphism
+    return cover, proj_morphism, tuple(v for v, _ in generators)
 
 
 def injective_envelope(rep):
-    """Minimal injective envelope; returns (E, embedding M -> E).
+    """Minimal injective envelope; returns (E, embedding M -> E, vertices),
+    where E is the direct sum of the I_v over ``vertices``, one per basis
+    vector of soc(M).
 
     Computed as the dual of the projective cover of the dual module over
     the opposite algebra.
@@ -346,12 +350,12 @@ def injective_envelope(rep):
     if rep.is_zero:
         raise ZeroModuleError("the zero module has no injective envelope here")
     dual = dual_representation(rep)
-    cover, pr = projective_cover(dual)
+    cover, pr, vertices = projective_cover(dual)
     env = dual_representation(cover)
     emb_maps = [linalg.transpose(pr.vertex_maps[v], rep.dims[v])
                 for v in range(rep.algebra.quiver.vertex_count)]
     emb = Morphism(rep, env, emb_maps, validate=False)
-    return env, emb
+    return env, emb, vertices
 
 
 HomologicalStatus = namedtuple("HomologicalStatus", ["is_projective", "is_injective"])
@@ -459,17 +463,3 @@ def annihilator_dimension(rep):
 def is_faithful(rep):
     """True when the right annihilator of M in A is zero."""
     return annihilator_dimension(rep) == 0
-
-
-def is_isomorphic(m, n):
-    """Isomorphism test for modules with local endomorphism rings.
-
-    For indecomposable M and N some basis element of Hom(M, N) is an
-    isomorphism whenever one exists, because the non-isomorphisms form a
-    proper subspace; scanning the basis is therefore complete.
-    """
-    if m.dims != n.dims:
-        return False
-    if m.total_dim == 0:
-        return True
-    return any(f.is_isomorphism() for f in hom_space(m, n))

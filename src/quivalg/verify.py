@@ -35,6 +35,7 @@ from .homological import (
     double_centralizer_check,
     is_selfinjective,
     minimal_faithful_proj_inj,
+    projective_injective_vertices,
 )
 from .monomial import Side
 from .nakayama import (
@@ -50,7 +51,7 @@ from .nakayama import (
     uniserial_module,
 )
 from .quiver import Arrow, Quiver, QuiverShape, kupisch_walk, shape_classify
-from .representations import homological_status, projective_module, socle
+from .representations import projective_module, socle
 
 SUITES = ("main-theorem", "yamagata", "qf2-chain", "morita", "cross-checks")
 
@@ -134,8 +135,9 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
     base_naka = None
     dim_faf = None
     if pi_left is not None:
-        base_naka = is_nakayama_algebra(base_algebra(algebra))
-        dim_faf = monomial_basic_algebra(algebra, pi_left).dimension
+        base = monomial_basic_algebra(algebra, pi_left)
+        base_naka = is_nakayama_algebra(base)
+        dim_faf = base.dimension
     dim_eae = None
     if pi_right is not None:
         dim_eae = monomial_basic_algebra(algebra, pi_right).dimension
@@ -403,8 +405,7 @@ def structural_oracle_checks(max_n, max_c):
                 "series": str(ks), "roundtrip": str(back),
             })
         dims = tuple(len(algebra.paths_from(v)) for v in range(ks.vertex_count))
-        walk_dims = _dims_along_walk(algebra)
-        if walk_dims != ks.lengths:
+        if dims != ks.lengths:
             counterexamples.append({
                 "implication": "projective dimensions match the series",
                 "series": str(ks), "dims": list(dims),
@@ -449,15 +450,6 @@ def run_cross_checks(bounds=DEFAULT_CORPORA, max_n=DEFAULT_MAX_N, max_c=DEFAULT_
     return suite_report("cross-checks",
                         {**_corpora_dict(bounds), "max_n": max_n, "max_c": max_c},
                         counts, counterexamples, t0)
-
-
-def _dims_along_walk(algebra):
-    shape, order = kupisch_walk(algebra.quiver)
-    dims = tuple(len(algebra.paths_from(v)) for v in order)
-    if shape is QuiverShape.CYCLIC:
-        n = len(dims)
-        dims = max(tuple(dims[(i + k) % n] for k in range(n)) for i in range(n))
-    return dims
 
 
 def run_yamagata(max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C):
@@ -519,8 +511,7 @@ def _apt_mismatch(endo, cand, injective_ids):
     shape, order = kupisch_walk(gabriel_quiver(endo))
     lengths = tuple(len(endo.right_block(i)) for i in order)
     recon = kupisch_to_algebra(KupischSeries(shape, lengths))
-    pi_positions = {k for k in range(n)
-                    if homological_status(projective_module(recon, k)).is_injective}
+    pi_positions = set(projective_injective_vertices(recon))
     inj_positions = {k for k in range(n) if cand[order[k]] in injective_ids}
     if pi_positions != inj_positions:
         return {"proj_inj": sorted(pi_positions), "injective_summands": sorted(inj_positions)}

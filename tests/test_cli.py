@@ -97,6 +97,25 @@ def test_cli_coresolve_nakayama_qf2(tmp_path, capsys):
     assert "QF-2 (right): False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("terms,last_line", [
+    (2, "truncated at 2 terms"),
+    (3, "coresolution terminates after 3 terms"),
+    (5, "coresolution terminates after 3 terms"),
+])
+def test_cli_coresolve_paper_example(tmp_path, capsys, terms, last_line):
+    # I_0 is projective, I_1 and I_2 are not, and the third cokernel is zero
+    path = tmp_path / "alg.txt"
+    path.write_text(GOOD)
+    assert main(["coresolve", str(path), "--terms", str(terms)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:min(terms, 3)] == [
+        "I_0: dims (3, 6, 3, 3, 3) total 18 projective=yes",
+        "I_1: dims (3, 3, 3, 0, 0) total 9 projective=no",
+        "I_2: dims (1, 0, 1, 0, 0) total 2 projective=no",
+    ][:terms]
+    assert lines[min(terms, 3):] == [last_line]
+
+
 def test_cli_base_and_dc(tmp_path, capsys):
     path = tmp_path / "alg.txt"
     path.write_text(GOOD)
@@ -197,6 +216,13 @@ def test_cli_rejects_nonpositive_counts(tmp_path, capsys, argv):
         main(argv)
     assert exc.value.code == 1
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("summands", ["", " "])
+def test_cli_endo_no_summands(capsys, summands):
+    assert main(["endo", "--kupisch", "linear:2,1", "--summands", summands]) == 1
+    err = capsys.readouterr().err
+    assert err == "quivalg: no summands given\n"
 
 
 def test_cli_endo_uniserial_out_of_range(capsys):

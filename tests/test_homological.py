@@ -1,6 +1,9 @@
+from itertools import islice
+
 import pytest
 
 from quivalg.endo import gabriel_quiver, is_nakayama_algebra
+from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
 from quivalg.errors import DomDimZeroError
 from quivalg.homological import (
     DomDim,
@@ -10,11 +13,17 @@ from quivalg.homological import (
     injective_coresolution,
     is_selfinjective,
     minimal_faithful_proj_inj,
+    projective_injective_vertices,
 )
 from quivalg.monomial import Side, build
 from quivalg.nakayama import KupischSeries, kupisch_to_algebra
 from quivalg.quiver import Quiver, QuiverShape
-from quivalg.representations import homological_status
+from quivalg.representations import (
+    homological_status,
+    projective_module,
+    quotient_by,
+    regular_module,
+)
 
 
 def test_domdim_value_semantics():
@@ -26,40 +35,71 @@ def test_domdim_value_semantics():
     assert str(DomDim.infinite()) == "infinity"
 
 
+def coresolution(algebra, limit=8):
+    return list(islice(injective_coresolution(algebra), limit))
+
+
 def test_coresolution_a2(a2):
-    core = injective_coresolution(a2, 6)
-    assert [t.dims for t in core.terms] == [(2, 2), (1, 0)]
-    assert core.terminated
-    assert homological_status(core.terms[0]).is_projective
-    assert not homological_status(core.terms[1]).is_projective
+    terms = coresolution(a2)
+    assert [t.dims for t, _, _ in terms] == [(2, 2), (1, 0)]
+    assert [projective for _, _, projective in terms] == [True, False]
+    assert homological_status(terms[0][0]).is_projective
+    assert not homological_status(terms[1][0]).is_projective
 
 
 def test_coresolution_semisimple(semisimple):
-    core = injective_coresolution(semisimple, 6)
-    assert len(core.terms) == 1 and core.terminated
-    assert core.terms[0].dims == (1,)
+    terms = coresolution(semisimple)
+    assert [t.dims for t, _, _ in terms] == [(1,)]
 
 
 def test_coresolution_cyclic_32(cyclic_32):
-    core = injective_coresolution(cyclic_32, 3)
-    assert [t.dims for t in core.terms] == [(4, 2), (2, 1), (1, 1)]
-    flags = [homological_status(t).is_projective for t in core.terms]
-    assert flags == [True, True, False]
+    terms = coresolution(cyclic_32, 3)
+    assert [t.dims for t, _, _ in terms] == [(4, 2), (2, 1), (1, 1)]
+    flags = [homological_status(t).is_projective for t, _, _ in terms]
+    assert flags == [projective for _, _, projective in terms] == [True, True, False]
 
 
 def test_all_coresolution_terms_injective(branching_algebra, cyclic_32, a2):
     for a in (branching_algebra, cyclic_32, a2):
-        core = injective_coresolution(a, 4)
-        for term in core.terms:
+        for term, _, _ in coresolution(a, 4):
             assert homological_status(term).is_injective
 
 
-def test_embeddings_and_cokernels_are_exact(cyclic_32):
-    core = injective_coresolution(cyclic_32, 3)
-    for emb in core.embeddings:
-        assert emb.is_injective()
-    for pr in core.cokernel_maps:
-        assert pr.is_surjective()
+def test_embeddings_and_cokernels_are_exact(branching_algebra, cyclic_32, a2):
+    for a in (branching_algebra, cyclic_32, a2):
+        terms = coresolution(a, 4)
+        for k, (term, emb, _) in enumerate(terms):
+            assert emb.target is term and emb.is_injective()
+            coker, pr = quotient_by(term, emb.vertex_maps)
+            assert pr.is_surjective()
+            if k + 1 < len(terms):
+                # the next term embeds the cokernel of this one
+                assert terms[k + 1][1].source == coker
+            elif len(terms) < 4:
+                assert coker.is_zero
+
+
+def test_projective_injective_table_matches_oracle():
+    """The cached table, selfinjectivity and the projective flags of the
+    first two coresolution terms against the elimination oracle, for every
+    algebra of a small corpus and its opposite."""
+    domdims = set()
+    algebras = list(enumerate_monomial_algebras(CorpusBounds(3, 3, 2)))
+    assert len(algebras) == 115
+    for algebra in algebras:
+        for work in (algebra, algebra.opposite()):
+            n = work.quiver.vertex_count
+            expected = tuple(v for v in range(n)
+                             if homological_status(projective_module(work, v)).is_injective)
+            assert projective_injective_vertices(work) == expected
+            assert is_selfinjective(work) == homological_status(regular_module(work)).is_injective
+            for term, _, projective in coresolution(work, 2):
+                assert projective == homological_status(term).is_projective
+        domdim = dominant_dimension(algebra)
+        # dominant_dimension reads selfinjectivity off the opposite's table
+        assert (domdim == DomDim.infinite()) == is_selfinjective(algebra)
+        domdims.add(str(domdim))
+    assert domdims == {"0", "1", "2", "3", "infinity"}
 
 
 def test_domdim_examples(branching_algebra, cyclic_32, a2, semisimple):
@@ -73,6 +113,7 @@ def test_domdim_selfinjective_cyclic():
     a = kupisch_to_algebra(KupischSeries(QuiverShape.CYCLIC, (2, 2)))
     assert is_selfinjective(a)
     assert dominant_dimension(a) == DomDim.infinite()
+    assert dominant_dimension(a, cutoff=1) == DomDim.infinite()
 
 
 def test_domdim_cutoff_reporting(cyclic_32):
@@ -98,7 +139,6 @@ def test_no_projective_injective_at_all():
     q = Quiver.from_arrows(3, [("a", 0, 1), ("b", 2, 1)])
     a = build(q, [])
     for v in range(3):
-        from quivalg.representations import projective_module
         assert not homological_status(projective_module(a, v)).is_injective
     assert minimal_faithful_proj_inj(a, Side.RIGHT) is None
     assert dominant_dimension(a) == DomDim.finite(0)
@@ -110,7 +150,6 @@ def test_proj_inj_exists_but_not_faithful():
     q = Quiver.from_arrows(3, [("a", 0, 1), ("b", 1, 2)])
     a = build(q, [q.path(["a", "b"])])
     # radical-square-zero chain: P(0) = I(1) is projective-injective
-    from quivalg.representations import projective_module
     assert homological_status(projective_module(a, 0)).is_injective
     verts = minimal_faithful_proj_inj(a, Side.RIGHT)
     assert verts == (0, 1)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from quivalg.endo import EndomorphismContext
 from quivalg.errors import ZeroModuleError
 from quivalg.nakayama import KupischSeries, kupisch_to_algebra
 from quivalg.quiver import QuiverShape
@@ -14,7 +15,6 @@ from quivalg.representations import (
     injective_envelope,
     injective_module,
     is_faithful,
-    is_isomorphic,
     mod_socle,
     projective_cover,
     projective_module,
@@ -92,7 +92,8 @@ def test_radical_is_arrow_image_span(branching_algebra):
 
 
 def test_envelope_of_simple(branching_algebra):
-    env, emb = injective_envelope(simple_module(branching_algebra, 4))
+    env, emb, vertices = injective_envelope(simple_module(branching_algebra, 4))
+    assert vertices == (4,)
     assert env.total_dim == 3
     assert env.dims == injective_module(branching_algebra, 4).dims
     assert emb.is_injective()
@@ -100,13 +101,15 @@ def test_envelope_of_simple(branching_algebra):
 
 def test_envelope_of_injective_is_itself(branching_algebra):
     m = injective_module(branching_algebra, 3)
-    env, emb = injective_envelope(m)
+    env, emb, vertices = injective_envelope(m)
+    assert vertices == (3,)
     assert env.dims == m.dims
     assert emb.is_isomorphism()
 
 
 def test_envelope_of_regular_a2(a2):
-    env, emb = injective_envelope(regular_module(a2))
+    env, emb, vertices = injective_envelope(regular_module(a2))
+    assert vertices == (1, 1)
     assert env.dims == (2, 2)
     assert emb.is_injective()
     s, _ = socle(env)
@@ -115,13 +118,14 @@ def test_envelope_of_regular_a2(a2):
 
 def test_cover_examples(branching_algebra, a2):
     m = projective_module(branching_algebra, 1)
-    cov, pr = projective_cover(m)
-    assert cov.dims == m.dims and pr.is_isomorphism()
-    cov, pr = projective_cover(simple_module(branching_algebra, 0))
-    assert cov.total_dim == 3 and pr.is_surjective()
+    cov, pr, vertices = projective_cover(m)
+    assert cov.dims == m.dims and pr.is_isomorphism() and vertices == (1,)
+    cov, pr, vertices = projective_cover(simple_module(branching_algebra, 0))
+    assert cov.total_dim == 3 and pr.is_surjective() and vertices == (0,)
     # over the two-vertex chain the injective at the sink is projective
     i2 = injective_module(a2, 1)
-    cov, pr = projective_cover(i2)
+    cov, pr, vertices = projective_cover(i2)
+    assert vertices == (0,)
     assert cov.dims == projective_module(a2, 0).dims
     assert pr.is_isomorphism()
 
@@ -140,9 +144,9 @@ def test_envelope_cover_reject_zero(branching_algebra):
 def test_top_and_socle_preserved(branching_algebra):
     for v in range(5):
         m = injective_module(branching_algebra, v)
-        cov, _ = projective_cover(m)
+        cov, _, _ = projective_cover(m)
         assert top(cov)[0].dims == top(m)[0].dims
-        env, _ = injective_envelope(m)
+        env, _, _ = injective_envelope(m)
         assert socle(env)[0].dims == socle(m)[0].dims
 
 
@@ -156,6 +160,10 @@ def test_status_examples(branching_algebra):
 
 def test_status_semisimple(semisimple):
     assert homological_status(simple_module(semisimple, 0)) == (True, True)
+
+
+def is_isomorphic(m, n):
+    return EndomorphismContext([m, n]).is_isomorphic(0, 1)
 
 
 def test_projective_injective_pairing(branching_algebra):
@@ -230,7 +238,7 @@ def test_duality_swaps_projective_injective(branching_algebra, cyclic_32):
 def test_exactness_of_envelope_sequence(branching_algebra):
     for v in range(5):
         n = simple_module(branching_algebra, v)
-        env, emb = injective_envelope(n)
+        env, emb, _ = injective_envelope(n)
         from quivalg.representations import quotient_by
         coker, _ = quotient_by(env, emb.vertex_maps)
         for w in range(5):
