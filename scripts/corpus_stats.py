@@ -9,22 +9,22 @@ with three loops at length 3 already admits over 3.5 million admissible
 relation sets).
 """
 
+import argparse
 import sys
 import time
 
-from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
+from argtypes import corpus_bounds
+from quivalg.enumeration import enumerate_monomial_algebras
 
 
 def main(argv):
-    if not argv:
-        print(__doc__.strip())
-        return 1
-    for spec in argv:
-        v, e, l = (int(x) for x in spec.split(","))
-        bounds = CorpusBounds(v, e, l)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("bounds", nargs="+", type=corpus_bounds, help="corpus bounds V,E,L")
+    for bounds in parser.parse_args(argv).bounds:
         t0 = time.time()
         count = sum(1 for _ in enumerate_monomial_algebras(bounds))
-        print(f"({v},{e},{l}): {count} algebras in {time.time() - t0:.1f}s")
+        print(f"({bounds.max_vertices},{bounds.max_arrows},{bounds.max_relation_length}): "
+              f"{count} algebras in {time.time() - t0:.1f}s")
     return 0
 
 

@@ -10,19 +10,8 @@ import sys
 import time
 from collections import Counter
 
-from quivalg.enumeration import CorpusBounds
+from argtypes import corpus_bounds
 from quivalg.verify import DEFAULT_CORPORA, sweep_corpus
-
-
-def corpus_bounds(text):
-    """An argparse type for one V,E,L bound triple."""
-    fields = text.split(",")
-    if len(fields) != 3:
-        raise argparse.ArgumentTypeError(f"expected V,E,L, got {text!r}")
-    try:
-        return CorpusBounds(*(int(x) for x in fields))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
 
 
 def positive_int(text):

@@ -45,7 +45,7 @@ from .nakayama import (
     uniserial_module,
 )
 from .quiver import Quiver, shape_classify
-from .representations import quotient_by
+from .representations import injective_module
 from .verify import DEFAULT_CORPORA, DEFAULT_MAX_C, DEFAULT_MAX_N, SUITES, run_suite
 
 
@@ -120,10 +120,13 @@ def parse_algebra(text):
 
 
 def load_algebra(path):
-    if path == "-":
-        return parse_algebra(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+    try:
+        if path == "-":
+            return parse_algebra(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_algebra(fh.read())
+    except UnicodeDecodeError as exc:
+        raise AlgebraParseError(f"{path!r} is not UTF-8 text: {exc.reason}") from None
 
 
 def paper_example_text():
@@ -198,6 +201,7 @@ def _at_least(low):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        message = message.replace("\n", "\\n")  # arguments quoted here stay on one line
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -265,15 +269,16 @@ def _cmd_domdim(algebra, cutoff):
 
 
 def _cmd_coresolve(algebra, terms):
-    for k, (term, emb, projective) in enumerate(islice(injective_coresolution(algebra), terms)):
-        print(f"I_{k}: dims {tuple(term.dims)} total {term.total_dim} "
-              f"projective={'yes' if projective else 'no'}")
-    # the generator stops early only at a zero cokernel; at the limit the
-    # last cokernel is checked here, without building the next envelope
-    if k + 1 < terms or quotient_by(term, emb.vertex_maps)[0].is_zero:
-        print(f"coresolution terminates after {k + 1} terms")
-    else:
+    # asking for one term past the limit tells termination from truncation
+    produced = list(islice(injective_coresolution(algebra), terms + 1))
+    for k, term in enumerate(produced[:terms]):
+        dims = tuple(map(sum, zip(*(injective_module(algebra, s).dims for s in term.vertices))))
+        print(f"I_{k}: dims {dims} total {sum(dims)} "
+              f"projective={'yes' if term.projective else 'no'}")
+    if len(produced) > terms:
         print(f"truncated at {terms} terms")
+    else:
+        print(f"coresolution terminates after {len(produced)} terms")
     return 0
 
 

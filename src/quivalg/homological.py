@@ -1,16 +1,20 @@
 """Dominant dimension and the double centraliser test.
 
-Which indecomposable projectives are injective is decided once per algebra
-and cached as a per-vertex table; selfinjectivity, the minimal faithful
-projective-injective module and the projectivity of coresolution terms are
-all read from it.  The minimal injective coresolution of the regular module
-is generated lazily through exact injective envelopes and cokernels; the
-dominant dimension counts its leading projective terms.  The corner algebra
-fAf of the minimal faithful projective-injective left module and the
-commutant of its right action on Af give the double centraliser check.
+Which indecomposable projectives are injective is decided once per algebra,
+from their cached socles, and kept as a per-vertex table; selfinjectivity,
+the minimal faithful projective-injective module and the projectivity of
+coresolution terms are all read from it.  The minimal injective
+coresolution of the regular module is generated lazily: each term is
+decided from a socle, and exact envelopes and cokernels are built only to
+reach the next term; the dominant dimension counts its leading projective
+terms.  The corner algebra fAf of the minimal faithful projective-injective
+left module and the commutant of its right action on Af give the double
+centraliser check.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import islice
 
 from . import linalg
@@ -19,11 +23,13 @@ from .errors import DomDimZeroError
 from .monomial import Side
 from .representations import (
     commutation_equations,
-    homological_status,
+    envelope_dim,
     injective_envelope,
     projective_module,
+    projective_socle_dims,
     quotient_by,
     regular_module,
+    socle,
 )
 
 
@@ -62,38 +68,51 @@ class DomDim:
 
 
 def projective_injective_vertices(algebra):
-    """The vertices v whose indecomposable projective P_v is injective.
-
-    Computed once per algebra by the elimination oracle
-    :func:`homological_status` and cached with the algebra's modules; every
-    other projective-injectivity question reads this table.
-    """
+    """The vertices v whose indecomposable projective P_v is injective: those
+    where the envelope forced by the cached socle of P_v has dim P_v.
+    Computed once per algebra and cached; every other projective-injectivity
+    question reads this table."""
     key = ("proj_inj",)
     if key not in algebra._cache:
         algebra._cache[key] = tuple(
             v for v in range(algebra.quiver.vertex_count)
-            if homological_status(projective_module(algebra, v)).is_injective)
+            if envelope_dim(algebra, projective_socle_dims(algebra, v))
+            == projective_module(algebra, v).total_dim)
     return algebra._cache[key]
+
+
+# I_k is the sum of the I_s over ``vertices``; ``envelope()`` returns
+# (I_k, embedding N_k -> I_k, vertices), built on the first call only
+CoresolutionTerm = namedtuple("CoresolutionTerm", ["vertices", "projective", "envelope"])
 
 
 def injective_coresolution(algebra):
     """Lazily yield the terms of the minimal injective coresolution of the
-    regular module as (I_k, embedding N_k -> I_k, projective flag), where
-    N_0 = A and N_{k+1} is the cokernel of the k-th embedding; stops at a
-    zero cokernel.  Minimality comes from the envelope construction.
+    regular module, where N_0 = A and N_{k+1} is the cokernel of
+    N_k -> I_k; stops at a zero cokernel.
 
-    I_k is the sum of the injectives I_s = D(P_s) over the summand vertices
-    s of its envelope, where P_s is projective over the opposite algebra.
-    D takes injective modules over the opposite algebra to projective ones,
-    so I_k is projective exactly when every s lies in the
-    projective-injective table of the opposite algebra.
+    A term is read off soc(N_k): its vertices are the socle vertices s
+    with multiplicity, and soc(A) is the sum of the cached socles of the
+    P_v.  I_s = D(P_s) for P_s projective over the opposite algebra, and D
+    takes injective modules over the opposite algebra to projective ones,
+    so I_k is projective exactly when every s lies in the opposite
+    algebra's projective-injective table.  The envelope of N_k and N_{k+1}
+    are built only when the next term is requested.
     """
     opposite_table = projective_injective_vertices(algebra.opposite())
-    current = regular_module(algebra)
-    while not current.is_zero:
-        env, emb, vertices = injective_envelope(current)
-        yield env, emb, all(s in opposite_table for s in vertices)
-        current = quotient_by(env, emb.vertex_maps)[0]
+    n = algebra.quiver.vertex_count
+    socle_dims = [sum(d) for d in zip(*(projective_socle_dims(algebra, v) for v in range(n)))]
+    build = lambda: injective_envelope(regular_module(algebra))  # N_0 = A only if needed
+    while True:
+        vertices = tuple(s for s, d in enumerate(socle_dims) for _ in range(d))
+        envelope = cache(build)
+        yield CoresolutionTerm(vertices, all(s in opposite_table for s in vertices), envelope)
+        env, emb, _ = envelope()
+        module = quotient_by(env, emb.vertex_maps)[0]
+        if module.is_zero:
+            return
+        socle_dims = socle(module)[0].dims
+        build = partial(injective_envelope, module)
 
 
 def is_selfinjective(algebra):
@@ -106,15 +125,16 @@ def dominant_dimension(algebra, cutoff=12):
     coresolution; 0 when the first term is not projective, infinite for
     selfinjective algebras and when the coresolution ends within the cutoff
     with all terms projective, a lower bound when ``cutoff`` terms are all
-    projective.  No envelope is built past the first non-projective term or
-    the cutoff-th term."""
+    projective.  No envelope is built for a non-projective term or for the
+    cutoff-th term: a term is decided from its socle, and its envelope is
+    built only to reach the next one."""
     # A is selfinjective exactly when its opposite is, and the opposite's
     # table is the one the coresolution reads
     if is_selfinjective(algebra.opposite()):
         return DomDim.infinite()
     produced = 0
-    for _, _, projective in islice(injective_coresolution(algebra), cutoff):
-        if not projective:
+    for term in islice(injective_coresolution(algebra), cutoff):
+        if not term.projective:
             return DomDim.finite(produced)
         produced += 1
     if produced < cutoff:

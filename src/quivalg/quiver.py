@@ -115,7 +115,8 @@ class Quiver:
 
     @cached_property
     def _connected(self):
-        return len(connected_components(self)) == 1
+        # n vertices need n - 1 arrows; a huge count fails before any per-vertex table
+        return len(self.arrows) >= self.vertex_count - 1 and len(connected_components(self)) == 1
 
 
 def compose(p, q):

@@ -51,7 +51,7 @@ from .nakayama import (
     uniserial_module,
 )
 from .quiver import Arrow, Quiver, QuiverShape, kupisch_walk, shape_classify
-from .representations import projective_module, socle
+from .representations import projective_socle_dims
 
 SUITES = ("main-theorem", "yamagata", "qf2-chain", "morita", "cross-checks")
 
@@ -126,7 +126,7 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
     socle_agree = True
     for work in (algebra, opp):
         for v in range(n):
-            soc_dim = socle(projective_module(work, v))[0].total_dim
+            soc_dim = sum(projective_socle_dims(work, v))
             if work.socle_criterion(v, Side.RIGHT) != (soc_dim == 1):
                 socle_agree = False
     pi_right = minimal_faithful_proj_inj(algebra, Side.RIGHT)
@@ -212,16 +212,14 @@ def main_theorem_corpus_checks(facts):
     counts = {"algebras": len(facts), "domdim_ge2": 0, "nakayama_shape": 0}
     counterexamples = []
     for f in facts:
+        form = {"canonical_form": f["form"]}
         naka = f["shape"] != QuiverShape.NOT_NAKAYAMA.value
         if naka:
             counts["nakayama_shape"] += 1
         if _facts_ge(f["domdim"], 2):
             counts["domdim_ge2"] += 1
             if not naka:
-                counterexamples.append({
-                    "implication": "domdim>=2 => nakayama shape",
-                    "canonical_form": f["form"],
-                })
+                counterexamples.append({**form, "implication": "domdim>=2 => nakayama shape"})
     return counts, counterexamples
 
 
@@ -316,6 +314,7 @@ def qf2_chain_checks(facts):
     counts = {"algebras": len(facts), "qf2_both": 0, "domdim_ge2": 0}
     counterexamples = []
     for f in facts:
+        form = {"canonical_form": f["form"]}
         qf2_both = f["qf2_right"] and f["qf2_left"]
         naka = f["shape"] != QuiverShape.NOT_NAKAYAMA.value
         if qf2_both:
@@ -323,20 +322,12 @@ def qf2_chain_checks(facts):
         if _facts_ge(f["domdim"], 2):
             counts["domdim_ge2"] += 1
             if not qf2_both:
-                counterexamples.append({
-                    "implication": "domdim>=2 => QF-2 on both sides",
-                    "canonical_form": f["form"],
-                })
+                counterexamples.append({**form, "implication": "domdim>=2 => QF-2 on both sides"})
         if qf2_both and not naka:
-            counterexamples.append({
-                "implication": "monomial QF-2 => nakayama shape",
-                "canonical_form": f["form"],
-            })
+            counterexamples.append({**form, "implication": "monomial QF-2 => nakayama shape"})
         if not f["socle_agree"]:
             counterexamples.append({
-                "implication": "socle criterion == socle dimension oracle",
-                "canonical_form": f["form"],
-            })
+                **form, "implication": "socle criterion == socle dimension oracle"})
     return counts, counterexamples
 
 
@@ -354,6 +345,7 @@ def cross_check_facts(facts):
     counts = {"algebras": len(facts), "domdim_ge1": 0, "dc_holds": 0}
     counterexamples = []
     for f in facts:
+        form = {"canonical_form": f["form"]}
         ge1 = _facts_ge(f["domdim"], 1)
         ge2 = _facts_ge(f["domdim"], 2)
         if ge1:
@@ -361,31 +353,18 @@ def cross_check_facts(facts):
         if f["dc_holds"]:
             counts["dc_holds"] += 1
         if ge1 != (f["pi_right"] is not None) or ge1 != (f["pi_left"] is not None):
-            counterexamples.append({
-                "implication": "domdim>=1 <=> minimal faithful projective-injective exists",
-                "canonical_form": f["form"],
-            })
+            counterexamples.append({**form, "implication":
+                                    "domdim>=1 <=> minimal faithful projective-injective exists"})
         if ge2 != f["dc_holds"]:
-            counterexamples.append({
-                "implication": "domdim>=2 <=> double centralizer",
-                "canonical_form": f["form"],
-            })
+            counterexamples.append({**form, "implication": "domdim>=2 <=> double centralizer"})
         if f["domdim"] != f["domdim_op"]:
-            counterexamples.append({
-                "implication": "domdim(A) == domdim(op A)",
-                "canonical_form": f["form"],
-                "domdim": f["domdim"], "domdim_op": f["domdim_op"],
-            })
+            counterexamples.append({**form, "implication": "domdim(A) == domdim(op A)",
+                                    "domdim": f["domdim"], "domdim_op": f["domdim_op"]})
         if ge1 and f["base_nakayama"] is not True:
             counterexamples.append({
-                "implication": "base algebra fAf is componentwise Nakayama",
-                "canonical_form": f["form"],
-            })
+                **form, "implication": "base algebra fAf is componentwise Nakayama"})
         if ge1 and f["dim_eAe"] != f["dim_fAf"]:
-            counterexamples.append({
-                "implication": "dim eAe == dim fAf",
-                "canonical_form": f["form"],
-            })
+            counterexamples.append({**form, "implication": "dim eAe == dim fAf"})
     return counts, counterexamples
 
 

@@ -2,6 +2,7 @@ from itertools import islice
 
 import pytest
 
+from quivalg import homological
 from quivalg.endo import gabriel_quiver, is_nakayama_algebra
 from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
 from quivalg.errors import DomDimZeroError
@@ -20,9 +21,12 @@ from quivalg.nakayama import KupischSeries, kupisch_to_algebra
 from quivalg.quiver import Quiver, QuiverShape
 from quivalg.representations import (
     homological_status,
+    injective_envelope,
     projective_module,
+    projective_socle_dims,
     quotient_by,
     regular_module,
+    socle,
 )
 
 
@@ -39,50 +43,55 @@ def coresolution(algebra, limit=8):
     return list(islice(injective_coresolution(algebra), limit))
 
 
+def envelopes(terms):
+    return [term.envelope()[0] for term in terms]
+
+
 def test_coresolution_a2(a2):
     terms = coresolution(a2)
-    assert [t.dims for t, _, _ in terms] == [(2, 2), (1, 0)]
-    assert [projective for _, _, projective in terms] == [True, False]
-    assert homological_status(terms[0][0]).is_projective
-    assert not homological_status(terms[1][0]).is_projective
+    assert [t.dims for t in envelopes(terms)] == [(2, 2), (1, 0)]
+    assert [term.projective for term in terms] == [True, False]
+    assert homological_status(terms[0].envelope()[0]).is_projective
+    assert not homological_status(terms[1].envelope()[0]).is_projective
 
 
 def test_coresolution_semisimple(semisimple):
     terms = coresolution(semisimple)
-    assert [t.dims for t, _, _ in terms] == [(1,)]
+    assert [t.dims for t in envelopes(terms)] == [(1,)]
 
 
 def test_coresolution_cyclic_32(cyclic_32):
     terms = coresolution(cyclic_32, 3)
-    assert [t.dims for t, _, _ in terms] == [(4, 2), (2, 1), (1, 1)]
-    flags = [homological_status(t).is_projective for t, _, _ in terms]
-    assert flags == [projective for _, _, projective in terms] == [True, True, False]
+    assert [t.dims for t in envelopes(terms)] == [(4, 2), (2, 1), (1, 1)]
+    flags = [homological_status(t).is_projective for t in envelopes(terms)]
+    assert flags == [term.projective for term in terms] == [True, True, False]
 
 
 def test_all_coresolution_terms_injective(branching_algebra, cyclic_32, a2):
     for a in (branching_algebra, cyclic_32, a2):
-        for term, _, _ in coresolution(a, 4):
+        for term in envelopes(coresolution(a, 4)):
             assert homological_status(term).is_injective
 
 
 def test_embeddings_and_cokernels_are_exact(branching_algebra, cyclic_32, a2):
     for a in (branching_algebra, cyclic_32, a2):
         terms = coresolution(a, 4)
-        for k, (term, emb, _) in enumerate(terms):
-            assert emb.target is term and emb.is_injective()
-            coker, pr = quotient_by(term, emb.vertex_maps)
+        for k, term in enumerate(terms):
+            env, emb, vertices = term.envelope()
+            assert emb.target is env and emb.is_injective()
+            assert vertices == term.vertices
+            coker, pr = quotient_by(env, emb.vertex_maps)
             assert pr.is_surjective()
             if k + 1 < len(terms):
                 # the next term embeds the cokernel of this one
-                assert terms[k + 1][1].source == coker
+                assert terms[k + 1].envelope()[1].source == coker
             elif len(terms) < 4:
                 assert coker.is_zero
 
 
 def test_projective_injective_table_matches_oracle():
-    """The cached table, selfinjectivity and the projective flags of the
-    first two coresolution terms against the elimination oracle, for every
-    algebra of a small corpus and its opposite."""
+    """The cached table and selfinjectivity against the elimination oracle,
+    for every algebra of a small corpus and its opposite."""
     domdims = set()
     algebras = list(enumerate_monomial_algebras(CorpusBounds(3, 3, 2)))
     assert len(algebras) == 115
@@ -93,13 +102,67 @@ def test_projective_injective_table_matches_oracle():
                              if homological_status(projective_module(work, v)).is_injective)
             assert projective_injective_vertices(work) == expected
             assert is_selfinjective(work) == homological_status(regular_module(work)).is_injective
-            for term, _, projective in coresolution(work, 2):
-                assert projective == homological_status(term).is_projective
         domdim = dominant_dimension(algebra)
         # dominant_dimension reads selfinjectivity off the opposite's table
         assert (domdim == DomDim.infinite()) == is_selfinjective(algebra)
         domdims.add(str(domdim))
     assert domdims == {"0", "1", "2", "3", "infinity"}
+
+
+@pytest.mark.parametrize("bounds,term_count", [(CorpusBounds(3, 3, 2), 452),
+                                               (CorpusBounds(2, 2, 3), 250)])
+def test_lazy_coresolution_matches_envelope_chain(bounds, term_count):
+    """The first two terms, decided from socles, against envelopes and
+    cokernels built independently of the generator, for every algebra of a
+    small corpus and its opposite; and the cached socles of the P_v
+    against a fresh elimination."""
+    checked = 0
+    for algebra in enumerate_monomial_algebras(bounds):
+        for work in (algebra, algebra.opposite()):
+            for v in range(work.quiver.vertex_count):
+                assert projective_socle_dims(work, v) == socle(projective_module(work, v))[0].dims
+            terms = coresolution(work, 2)
+            module = regular_module(work)
+            for term in terms:
+                assert not module.is_zero
+                env, emb, vertices = injective_envelope(module)
+                assert term.vertices == vertices
+                assert term.projective == homological_status(env).is_projective
+                module = quotient_by(env, emb.vertex_maps)[0]
+            # the generator stops early only at a zero cokernel
+            assert len(terms) == 2 or module.is_zero
+            checked += len(terms)
+    assert checked == term_count
+
+
+def test_coresolution_builds_envelopes_lazily(monkeypatch, cyclic_32):
+    built = []
+
+    def counting(module):
+        built.append(module)
+        return injective_envelope(module)
+
+    monkeypatch.setattr(homological, "injective_envelope", counting)
+    # no projective-injective at all: the first term decides domdim 0
+    # without an envelope, and the regular module is never built
+    q = Quiver.from_arrows(3, [("a", 0, 1), ("b", 2, 1)])
+    a = build(q, [])
+    assert dominant_dimension(a) == DomDim.finite(0)
+    assert built == [] and ("regular",) not in a._cache
+    # terms 0 and 1 are projective and term 2 is not: two envelopes, and
+    # none for the cutoff-th term
+    assert dominant_dimension(cyclic_32) == DomDim.finite(2)
+    assert len(built) == 2
+    built.clear()
+    assert dominant_dimension(cyclic_32, cutoff=2) == DomDim.at_least(2)
+    assert len(built) == 1
+    # an envelope asked for by a consumer is the one the generator reuses
+    built.clear()
+    terms = injective_coresolution(cyclic_32)
+    first = next(terms)
+    assert first.envelope() is first.envelope()
+    next(terms)
+    assert len(built) == 1
 
 
 def test_domdim_examples(branching_algebra, cyclic_32, a2, semisimple):
