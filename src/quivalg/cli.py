@@ -111,6 +111,9 @@ def parse_algebra(text):
         for tok in tokens:
             if tok not in names:
                 raise AlgebraParseError(f"relation names unknown arrow {tok!r}", lineno)
+        if len(tokens) < 2:
+            raise AlgebraParseError(
+                f"relation {tokens[0]!r} has length 1; relations need at least two arrows", lineno)
         try:
             relations.append(quiver.path(tokens))
         except ValueError:

@@ -9,13 +9,15 @@ Admissibility is enforced during generation by keeping the top-level
 window graph (nodes: allowed words one short of the maximal relation
 length, edges: allowed words of maximal length) acyclic, so only
 presentations with a finite path basis are ever produced.  Finally,
-isomorphic presentations over the same quiver are rejected through a
-canonical byte encoding minimized over vertex permutations composed with
-permutations of parallel arrows.
+isomorphic presentations over the same quiver are rejected before an
+algebra is built: each relation set gets a canonical byte encoding,
+minimized over the arrow relabelings (vertex permutations composed with
+permutations of parallel arrows) that the quiver computes once, and an
+algebra is built only for a new encoding.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations
 
 from .monomial import MonomialAlgebra
 from .quiver import Arrow, Quiver, is_connected
@@ -147,61 +149,37 @@ def _relation_paths(quiver, rel_tuples):
     return tuple(quiver.path_from_indices(w) for w in rel_tuples)
 
 
-def canonical_form(algebra):
-    """Canonical byte string, minimal over all vertex permutations composed
-    with permutations of parallel arrows; equal strings exactly when one
-    presentation maps onto the other."""
-    quiver = algebra.quiver
-    n = quiver.vertex_count
-    pairs = [(a.source, a.target) for a in quiver.arrows]
-    rels = sorted(r.arrows for r in algebra.relations)
-    best = None
-    for perm in permutations(range(n)):
-        mapped = [(perm[s], perm[t]) for s, t in pairs]
-        sorted_pairs = tuple(sorted(mapped))
-        if best is not None and sorted_pairs > best[1]:
-            continue
-        classes = {}
-        for i, p in enumerate(mapped):
-            classes.setdefault(p, []).append(i)
-        class_order = sorted(classes)
-        slot_base = {}
-        acc = 0
-        for p in class_order:
-            slot_base[p] = acc
-            acc += len(classes[p])
-        best_rels = None
-        for assignment in product(*(permutations(classes[p]) for p in class_order)):
-            newidx = {}
-            for p, members in zip(class_order, assignment):
-                for off, old in enumerate(members):
-                    newidx[old] = slot_base[p] + off
-            enc = tuple(sorted(tuple(newidx[a] for a in r) for r in rels))
-            if best_rels is None or enc < best_rels:
-                best_rels = enc
-        key = (n, sorted_pairs, best_rels)
-        if best is None or key < best:
-            best = key
-    return repr(best).encode("ascii")
+def canonical_form(quiver, relations):
+    """Canonical byte string of the presentation with the given relations
+    (arrow-index tuples, a factor-antichain): the least sorted arrow pairs
+    and, over every relabeling that reaches them, the least sorted
+    relabeled relations.  Equal strings exactly when one presentation maps
+    onto the other."""
+    pairs, relabelings = quiver.canonical_labelings
+    least = min(sorted([tuple([m[a] for a in r]) for r in relations]) for m in relabelings)
+    return repr((quiver.vertex_count, pairs, tuple(least))).encode("ascii")
 
 
 def cached_canonical_form(algebra):
-    """:func:`canonical_form`, computed once per algebra object."""
+    """:func:`canonical_form` of an algebra, computed once per algebra object."""
     key = ("canonical_form",)
     if key not in algebra._cache:
-        algebra._cache[key] = canonical_form(algebra)
+        algebra._cache[key] = canonical_form(algebra.quiver, [r.arrows for r in algebra.relations])
     return algebra._cache[key]
 
 
 def algebras_over(quiver, max_relation_length):
     """The monomial algebras over one quiver with relations up to the given
-    length, one representative per isomorphism class of presentations."""
+    length, one representative per isomorphism class of presentations.  A
+    candidate's class is decided before it is built, and only the first
+    candidate of each class is built."""
     seen = set()
     for rel_tuples in admissible_relation_sets(quiver, max_relation_length):
-        algebra = MonomialAlgebra(quiver, _relation_paths(quiver, rel_tuples))
-        form = cached_canonical_form(algebra)
+        form = canonical_form(quiver, rel_tuples)
         if form not in seen:
             seen.add(form)
+            algebra = MonomialAlgebra(quiver, _relation_paths(quiver, rel_tuples))
+            algebra._cache[("canonical_form",)] = form
             yield algebra
 
 

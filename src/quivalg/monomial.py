@@ -19,23 +19,15 @@ class Side(Enum):
     BOTH = "both"
 
 
-def _factor_of(inner, outer):
-    """True when ``inner`` occurs as a contiguous factor of ``outer``."""
-    li, lo = len(inner), len(outer)
-    if li > lo:
-        return False
-    return any(outer[k:k + li] == inner for k in range(lo - li + 1))
-
-
 def _reduce_relations(relations):
     """Drop relations containing another relation as a factor; dedup."""
     unique = sorted({r.arrows: r for r in relations}.values(),
                     key=lambda r: (r.length, r.arrows))
-    kept = []
-    for r in unique:
-        if not any(o is not r and _factor_of(o.arrows, r.arrows) for o in unique):
-            kept.append(r)
-    return tuple(kept)
+    words = {r.arrows for r in unique}
+    # keep r unless one of its proper contiguous factors is a relation word
+    return tuple(r for r in unique
+                 if not any(r.arrows[i:j] in words for i in range(r.length)
+                            for j in range(i + 1, r.length + 1) if j - i < r.length))
 
 
 class MonomialAlgebra:

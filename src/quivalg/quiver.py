@@ -10,6 +10,7 @@ traverses p first, matching the right-module conventions used throughout.
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import permutations, product
 
 from .errors import DisconnectedQuiverError
 
@@ -112,6 +113,32 @@ class Quiver:
         if p.is_trivial:
             return f"e{p.source}"
         return "*".join(self.arrows[i].name for i in p.arrows)
+
+    @cached_property
+    def canonical_labelings(self):
+        """``(pairs, relabelings)``: the least sorted tuple of arrow endpoint
+        pairs over all vertex permutations, and every arrow relabeling
+        (``relabeling[old index] = new index``) that reaches it, i.e. a
+        vertex permutation composed with permutations of parallel arrows."""
+        pairs = [(a.source, a.target) for a in self.arrows]
+        best, relabelings = None, []
+        for perm in permutations(range(self.vertex_count)):
+            mapped = [(perm[s], perm[t]) for s, t in pairs]
+            key = tuple(sorted(mapped))
+            if best is not None and key > best:
+                continue
+            if key != best:
+                best, relabelings = key, []
+            classes = {}
+            for i, p in enumerate(mapped):
+                classes.setdefault(p, []).append(i)
+            # class p takes the consecutive new indices of its pairs in key
+            for assignment in product(*(permutations(classes[p]) for p in sorted(classes))):
+                relabeling = [0] * len(pairs)
+                for new, old in enumerate(i for members in assignment for i in members):
+                    relabeling[old] = new
+                relabelings.append(tuple(relabeling))
+        return best, tuple(relabelings)
 
     @cached_property
     def _connected(self):

@@ -213,37 +213,45 @@ def radical_rows(rep, v):
     return [row for a in rep.algebra.quiver.in_arrows[v] for row in rep.maps[a]]
 
 
-def socle(rep):
-    """Largest semisimple submodule; returns (sub, inclusion).
-
-    At each vertex this is the joint kernel of the outgoing arrow maps
-    (loops included), so the sub-representation has zero arrow maps.
-    """
-    algebra = rep.algebra
-    q = algebra.quiver
-    rows_per_vertex = [[] for _ in range(q.vertex_count)]
+def _socle_bases(rep):
+    """Per vertex, a basis of soc M there as sparse rows: the joint kernel
+    of the outgoing arrow maps (loops included)."""
+    q = rep.algebra.quiver
+    bases = [[] for _ in range(q.vertex_count)]
     for v in range(q.vertex_count):
         if not rep.dims[v]:  # a zero space needs no elimination
             continue
         # x M_a = 0 is one equation per column of M_a
-        equations = [row for a in q.out_arrows[v]
-                     for row in linalg.sparse(linalg.transpose(
-                         rep.maps[a], rep.dims[q.arrows[a].target]))]
-        rows_per_vertex[v] = [linalg.dense(x, rep.dims[v])
-                              for x in linalg.nullspace(equations, rep.dims[v])]
+        equations = []
+        for a in q.out_arrows[v]:
+            columns = [{} for _ in range(rep.dims[q.arrows[a].target])]
+            for r, row in enumerate(rep.maps[a]):
+                for c, x in enumerate(row):
+                    if x:
+                        columns[c][r] = x
+            equations += columns
+        bases[v] = linalg.nullspace(equations, rep.dims[v])
+    return bases
+
+
+def socle(rep):
+    """Largest semisimple submodule; returns (sub, inclusion).  The
+    sub-representation has zero arrow maps."""
+    rows_per_vertex = [[linalg.dense(x, d) for x in basis]
+                       for basis, d in zip(_socle_bases(rep), rep.dims)]
     dims = [len(rows) for rows in rows_per_vertex]
-    maps = [linalg.zeros(dims[a.source], dims[a.target]) for a in q.arrows]
-    sub = Representation(algebra, dims, maps, validate=False)
+    maps = [linalg.zeros(dims[a.source], dims[a.target]) for a in rep.algebra.quiver.arrows]
+    sub = Representation(rep.algebra, dims, maps, validate=False)
     incl = Morphism(sub, rep, rows_per_vertex, validate=False)
     return sub, incl
 
 
 def projective_socle_dims(algebra, v):
-    """Socle dimension vector of P_v, found by :func:`socle` once per
-    algebra and cached with its modules."""
+    """Socle dimension vector of P_v, read off the kernel bases that
+    :func:`socle` computes, once per algebra and cached with its modules."""
     key = ("proj_socle", v)
     if key not in algebra._cache:
-        algebra._cache[key] = socle(projective_module(algebra, v))[0].dims
+        algebra._cache[key] = tuple(map(len, _socle_bases(projective_module(algebra, v))))
     return algebra._cache[key]
 
 
@@ -346,8 +354,10 @@ def injective_envelope(rep):
 
 def envelope_dim(algebra, socle_dims):
     """Dimension of the injective envelope of a module with the given socle
-    dimension vector: one I_w per socle basis vector at w."""
-    return sum(d * injective_module(algebra, w).total_dim
+    dimension vector: one I_w per socle basis vector at w, where dim I_w is
+    that of the opposite projective it dualises."""
+    opp = algebra.opposite()
+    return sum(d * projective_module(opp, w).total_dim
                for w, d in enumerate(socle_dims) if d)
 
 

@@ -193,7 +193,9 @@ def sweep_corpus(corpora, cutoff=DOMDIM_CUTOFF, workers=1):
     else:
         from multiprocessing import Pool
         with Pool(workers) as pool:
-            chunks = pool.map(_facts_for_quiver, payloads)
+            # one quiver per task: a few multi-loop quivers dominate, and
+            # default chunks of neighbouring quivers leave a worker idle
+            chunks = pool.map(_facts_for_quiver, payloads, chunksize=1)
     return [fact for chunk in chunks for fact in chunk]
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from quivalg.cli import main, paper_example, paper_example_text, parse_algebra
-from quivalg.errors import AlgebraParseError, BadRelationError, NotAdmissibleError
+from quivalg.errors import AlgebraParseError, DisconnectedQuiverError, NotAdmissibleError
 
 
 GOOD = """\
@@ -42,6 +42,8 @@ def test_parse_minimal():
     ("vertices: 2\narrows: a 1 2; a 1 2", "duplicate arrow"),
     ("vertices: 2\narrows: a 1 2\nrelations: a b", "unknown arrow 'b'"),
     ("vertices: 3\narrows: a 1 2; b 1 3\nrelations: a b", "do not form a path"),
+    ("vertices: 2\narrows: a 1 2\nrelations: a",
+     "line 3: relation 'a' has length 1; relations need at least two arrows"),
     ("vertices: 2\nwidgets: 7", "unknown key"),
     ("vertices: 2\njust text", "expected"),
 ])
@@ -52,8 +54,8 @@ def test_parse_errors(text, fragment):
 
 
 def test_parse_surfaces_construction_errors():
-    with pytest.raises(BadRelationError):
-        parse_algebra("vertices: 2\narrows: a 1 2\nrelations: a")
+    with pytest.raises(DisconnectedQuiverError):
+        parse_algebra("vertices: 2")
     with pytest.raises(NotAdmissibleError):
         parse_algebra("vertices: 1\narrows: x 1 1")
 

@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import presentation_oracles as oracle
 from quivalg.enumeration import (
     CorpusBounds,
     admissible_relation_sets,
@@ -13,7 +15,7 @@ from quivalg.enumeration import (
 )
 from quivalg.errors import NotAdmissibleError
 from quivalg.monomial import MonomialAlgebra, build
-from quivalg.quiver import Path, Quiver, is_connected, permute_vertices
+from quivalg.quiver import Arrow, Path, Quiver, is_connected, permute_vertices
 
 
 def test_bounds_validation():
@@ -97,17 +99,22 @@ def test_relation_sets_match_brute_force_chain():
     assert got == brute_force_relation_sets(quiver, 3)
 
 
+def form_of(algebra):
+    """The canonical form of an algebra's own presentation, computed anew."""
+    return canonical_form(algebra.quiver, [r.arrows for r in algebra.relations])
+
+
 def test_canonical_form_distinguishes_relation_lengths():
     q = Quiver.from_arrows(1, [("x", 0, 0)])
     a2 = build(q, [q.path(["x", "x"])])
     a3 = build(q, [q.path(["x", "x", "x"])])
-    assert canonical_form(a2) != canonical_form(a3)
+    assert form_of(a2) != form_of(a3)
 
 
 def test_canonical_form_identifies_orientations():
     qa = Quiver.from_arrows(2, [("a", 0, 1)])
     qb = Quiver.from_arrows(2, [("a", 1, 0)])
-    assert canonical_form(build(qa, [])) == canonical_form(build(qb, []))
+    assert form_of(build(qa, [])) == form_of(build(qb, []))
 
 
 def test_canonical_form_handles_parallel_arrow_swaps():
@@ -116,22 +123,22 @@ def test_canonical_form_handles_parallel_arrow_swaps():
                    q.path(["y", "x"]), q.path(["y", "y", "y"])])
     ry = build(q, [q.path(["y", "y"]), q.path(["y", "x"]),
                    q.path(["x", "y"]), q.path(["x", "x", "x"])])
-    assert canonical_form(rx) == canonical_form(ry)
+    assert form_of(rx) == form_of(ry)
 
 
 def test_canonical_form_invariant_under_relabeling(branching_algebra):
-    base = canonical_form(branching_algebra)
+    base = form_of(branching_algebra)
     for perm in itertools.permutations(range(5)):
         q = permute_vertices(branching_algebra.quiver, list(perm))
         rels = tuple(Path(perm[r.source], perm[r.target], r.arrows)
                      for r in branching_algebra.relations)
-        assert canonical_form(MonomialAlgebra(q, rels)) == base
+        assert cached_canonical_form(MonomialAlgebra(q, rels)) == base
 
 
 def test_stream_has_no_duplicates_and_valid_members():
     seen = set()
     for algebra in enumerate_monomial_algebras(CorpusBounds(2, 2, 2)):
-        form = canonical_form(algebra)
+        form = form_of(algebra)
         assert form not in seen
         seen.add(form)
         assert is_connected(algebra.quiver)
@@ -140,7 +147,7 @@ def test_stream_has_no_duplicates_and_valid_members():
 
 
 def test_branching_algebra_is_in_its_corpus(branching_algebra):
-    target = canonical_form(branching_algebra)
+    target = form_of(branching_algebra)
     assert any(cached_canonical_form(a) == target
                for a in enumerate_monomial_algebras(CorpusBounds(5, 4, 2)))
 
@@ -149,10 +156,14 @@ def test_stream_computes_each_canonical_form_once(monkeypatch):
     from quivalg import enumeration
     calls = []
     real = enumeration.canonical_form
-    monkeypatch.setattr(enumeration, "canonical_form", lambda a: calls.append(a) or real(a))
+    monkeypatch.setattr(enumeration, "canonical_form",
+                        lambda q, rels: calls.append(rels) or real(q, rels))
     algebras = list(enumerate_monomial_algebras(CorpusBounds(2, 2, 2)))
     streamed = len(calls)
-    assert [cached_canonical_form(a) for a in algebras] == [real(a) for a in algebras]
+    # one form per candidate relation set, and none once an algebra is built
+    assert streamed == sum(len(admissible_relation_sets(q, 2)) for q in connected_quivers(2, 2))
+    assert [cached_canonical_form(a) for a in algebras] == [
+        real(a.quiver, [r.arrows for r in a.relations]) for a in algebras]
     assert len(calls) == streamed
 
 
@@ -160,3 +171,45 @@ def test_stream_is_the_union_over_quivers():
     bounds = CorpusBounds(2, 2, 3)
     per_quiver = [a for q in connected_quivers(2, 2) for a in algebras_over(q, 3)]
     assert per_quiver == list(enumerate_monomial_algebras(bounds))
+
+
+def build_every_candidate(bounds):
+    """Oracle stream: build the algebra of every admissible relation set and
+    keep the first of each class of the former per-algebra canonical form."""
+    for quiver in connected_quivers(bounds.max_vertices, bounds.max_arrows):
+        seen = set()
+        for rels in admissible_relation_sets(quiver, bounds.max_relation_length):
+            algebra = build(quiver, [quiver.path_from_indices(w) for w in rels])
+            form = oracle.canonical_form(algebra)
+            if form not in seen:
+                seen.add(form)
+                yield algebra, form
+
+
+@pytest.mark.parametrize("bounds", [(3, 3, 2), (2, 2, 3), (1, 2, 3)])
+def test_stream_matches_building_every_candidate(bounds):
+    bounds = CorpusBounds(*bounds)
+    streamed = [(a, cached_canonical_form(a)) for a in enumerate_monomial_algebras(bounds)]
+    assert streamed == list(build_every_candidate(bounds))
+
+
+ORACLE_ALGEBRAS = [a for bounds in [(3, 3, 2), (2, 2, 3), (1, 3, 2)]
+                   for a in enumerate_monomial_algebras(CorpusBounds(*bounds))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_canonical_form_invariant_under_random_presentations(data):
+    algebra = data.draw(st.sampled_from(ORACLE_ALGEBRAS))
+    quiver = algebra.quiver
+    perm = data.draw(st.permutations(range(quiver.vertex_count)))
+    order = data.draw(st.permutations(range(len(quiver.arrows))))  # new index -> old
+    new_index = {old: new for new, old in enumerate(order)}
+    shuffled = Quiver(quiver.vertex_count, tuple(
+        Arrow(quiver.arrows[old].name, perm[quiver.arrows[old].source],
+              perm[quiver.arrows[old].target]) for old in order))
+    rels = [tuple(new_index[a] for a in r.arrows) for r in algebra.relations]
+    form = canonical_form(shuffled, rels)
+    assert form == cached_canonical_form(algebra) == oracle.canonical_form(algebra)
+    assert form == oracle.canonical_form(
+        build(shuffled, [shuffled.path_from_indices(r) for r in rels]))

@@ -20,8 +20,10 @@ from quivalg.monomial import Side, build
 from quivalg.nakayama import KupischSeries, kupisch_to_algebra
 from quivalg.quiver import Quiver, QuiverShape
 from quivalg.representations import (
+    envelope_dim,
     homological_status,
     injective_envelope,
+    injective_module,
     projective_module,
     projective_socle_dims,
     quotient_by,
@@ -87,6 +89,21 @@ def test_embeddings_and_cokernels_are_exact(branching_algebra, cyclic_32, a2):
                 assert terms[k + 1].envelope()[1].source == coker
             elif len(terms) < 4:
                 assert coker.is_zero
+
+
+@pytest.mark.parametrize("bounds", [CorpusBounds(3, 3, 2), CorpusBounds(2, 2, 3)])
+def test_envelope_dim_matches_built_injectives(bounds):
+    """envelope_dim reads dim I_w off the opposite projective that I_w
+    dualises; the built injectives must give the same sum, for the socles
+    of the P_v and for every simple socle."""
+    for algebra in enumerate_monomial_algebras(bounds):
+        for work in (algebra, algebra.opposite()):
+            n = work.quiver.vertex_count
+            socles = [projective_socle_dims(work, v) for v in range(n)]
+            socles += [tuple(int(w == u) for w in range(n)) for u in range(n)]
+            for soc in socles:
+                assert envelope_dim(work, soc) == sum(
+                    d * injective_module(work, w).total_dim for w, d in enumerate(soc))
 
 
 def test_projective_injective_table_matches_oracle():

@@ -3,8 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import presentation_oracles as oracle
 from quivalg.errors import BadRelationError, DisconnectedQuiverError, NotAdmissibleError
-from quivalg.monomial import MonomialAlgebra, Side, build
+from quivalg.monomial import MonomialAlgebra, Side, _reduce_relations, build
 from quivalg.quiver import Quiver
 from quivalg.representations import projective_module, socle
 
@@ -121,6 +122,40 @@ def test_relation_reduction_gives_canonical_set():
     b = build(q, [q.path(["x", "x"])])
     assert a.relations == b.relations
     assert a == b
+
+
+# loops at both vertices and two parallel arrows a, b
+REDUCTION_QUIVER = Quiver.from_arrows(2, [("x", 0, 0), ("a", 0, 1), ("b", 0, 1),
+                                          ("c", 1, 0), ("y", 1, 1)])
+
+
+@st.composite
+def walks(draw, quiver=REDUCTION_QUIVER):
+    arrows = [draw(st.integers(0, len(quiver.arrows) - 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        arrows.append(draw(st.sampled_from(quiver.out_arrows[quiver.arrows[arrows[-1]].target])))
+    return quiver.path_from_indices(arrows)
+
+
+def test_relation_reduction_drops_nested_factors_and_duplicates():
+    q = REDUCTION_QUIVER
+    rels = [q.path(["a", "c", "x"]), q.path(["a", "c"]), q.path(["a", "c", "x"]),
+            q.path(["b", "y"]), q.path(["x", "b", "y", "c"])]
+    assert _reduce_relations(rels) == (q.path(["a", "c"]), q.path(["b", "y"]))
+    assert _reduce_relations(rels) == oracle.reduce_relations(rels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_relation_reduction_matches_pairwise_oracle(data):
+    relations = data.draw(st.lists(walks(), max_size=8))
+    # add contiguous factors of drawn relations, the whole word included
+    for r in data.draw(st.lists(st.sampled_from(relations), max_size=4)) if relations else ():
+        i = data.draw(st.integers(0, r.length - 1))
+        j = data.draw(st.integers(i + 1, r.length))
+        relations.append(REDUCTION_QUIVER.path_from_indices(r.arrows[i:j]))
+    relations = data.draw(st.permutations(relations))
+    assert _reduce_relations(relations) == oracle.reduce_relations(relations)
 
 
 def test_socle_criterion_against_representation_oracle(branching_algebra):

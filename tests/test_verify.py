@@ -133,9 +133,9 @@ def test_cross_checks_tiny():
 def test_algebra_facts_reuse_the_streamed_canonical_form(monkeypatch):
     from quivalg import enumeration
     algebra = next(iter(enumeration.enumerate_monomial_algebras(CorpusBounds(2, 2, 2))))
-    form = enumeration.canonical_form(algebra)
+    form = enumeration.canonical_form(algebra.quiver, [r.arrows for r in algebra.relations])
 
-    def recomputed(algebra):
+    def recomputed(quiver, relations):
         raise AssertionError("canonical form computed twice")
 
     monkeypatch.setattr(enumeration, "canonical_form", recomputed)
