@@ -6,6 +6,7 @@ Usage: profile_sweep.py [V,E,L] [--workers N]
 """
 
 import argparse
+import os
 import sys
 import time
 from collections import Counter
@@ -47,4 +48,12 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (``| head -1``); the flush at exit would
+        # raise again, so it goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

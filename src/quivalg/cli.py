@@ -16,6 +16,7 @@ no randomness is used anywhere.
 import argparse
 import json
 import sys
+from functools import cache
 from importlib import resources
 from itertools import islice
 
@@ -209,7 +210,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@cache
 def build_parser():
+    """Built on the first ``main`` call and shared by later ones (stateless)."""
     parser = _Parser(
         prog="quivalg",
         description="Exact workbench for monomial bound quiver algebras.")
@@ -295,14 +298,12 @@ def _cmd_nakayama(algebra):
 
 
 def _cmd_qf2(algebra, side):
-    chosen = {"right": Side.RIGHT, "left": Side.LEFT, "both": Side.BOTH}[side]
-    result = algebra.is_qf2(chosen)
-    sides = (Side.RIGHT, Side.LEFT) if chosen is Side.BOTH else (chosen,)
-    for s in sides:
-        for v in range(algebra.quiver.vertex_count):
-            ok = algebra.socle_criterion(v, s)
-            print(f"{s.value} socle at vertex {v + 1}: {'simple' if ok else 'not simple'}")
-    print(f"QF-2 ({side}): {result}")
+    sides = (Side.RIGHT, Side.LEFT) if side == "both" else (Side(side),)
+    verdicts = [(s, v, algebra.socle_criterion(v, s))
+                for s in sides for v in range(algebra.quiver.vertex_count)]
+    for s, v, ok in verdicts:
+        print(f"{s.value} socle at vertex {v + 1}: {'simple' if ok else 'not simple'}")
+    print(f"QF-2 ({side}): {all(ok for _, _, ok in verdicts)}")  # is_qf2 on these sides
     return 0
 
 

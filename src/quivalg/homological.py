@@ -22,6 +22,7 @@ from .endo import monomial_basic_algebra
 from .errors import DomDimZeroError
 from .monomial import Side
 from .representations import (
+    _socle_bases,
     commutation_equations,
     envelope_dim,
     injective_envelope,
@@ -29,7 +30,6 @@ from .representations import (
     projective_socle_dims,
     quotient_by,
     regular_module,
-    socle,
 )
 
 
@@ -111,7 +111,7 @@ def injective_coresolution(algebra):
         module = quotient_by(env, emb.vertex_maps)[0]
         if module.is_zero:
             return
-        socle_dims = socle(module)[0].dims
+        socle_dims = tuple(map(len, _socle_bases(module)))
         build = partial(injective_envelope, module)
 
 

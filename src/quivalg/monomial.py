@@ -10,7 +10,7 @@ relation-free suffix windows, so no length cutoff is ever involved.
 from enum import Enum
 
 from .errors import BadRelationError, DisconnectedQuiverError, NotAdmissibleError
-from .quiver import Path, compose, is_connected
+from .quiver import Arrow, Path, Quiver, compose, is_connected
 
 
 class Side(Enum):
@@ -19,10 +19,13 @@ class Side(Enum):
     BOTH = "both"
 
 
+def _path_order(p):  # of relations and of the basis; the source orders trivial paths
+    return (p.length, p.arrows, p.source)
+
+
 def _reduce_relations(relations):
     """Drop relations containing another relation as a factor; dedup."""
-    unique = sorted({r.arrows: r for r in relations}.values(),
-                    key=lambda r: (r.length, r.arrows))
+    unique = sorted({r.arrows: r for r in relations}.values(), key=_path_order)
     words = {r.arrows for r in unique}
     # keep r unless one of its proper contiguous factors is a relation word
     return tuple(r for r in unique
@@ -41,18 +44,25 @@ class MonomialAlgebra:
                 raise BadRelationError(f"relation {r} has length < 2")
             if not quiver.is_valid_path(r):
                 raise BadRelationError(f"relation {r} is not a path of the quiver")
-        self.quiver = quiver
-        self.relations = _reduce_relations(relations)
-        self._forbidden = {r.arrows for r in self.relations}
-        self._rel_lengths = sorted({len(f) for f in self._forbidden})
-        self._max_rel = max(self._rel_lengths, default=1)
-        self._check_admissible()
-        self.basis = self._enumerate_basis()
-        self._basis_index = {p: i for i, p in enumerate(self.basis)}
-        self._cache = {}
-        self._opposite = None
+        self._install(quiver, _reduce_relations(relations))
 
     # -- construction internals -------------------------------------------
+
+    def _install(self, quiver, relations, basis=None):
+        """Set the presentation and every field derived from it; without a
+        given basis, decide admissibility and enumerate the basis."""
+        self.quiver = quiver
+        self.relations = relations
+        self._forbidden = {r.arrows for r in relations}
+        self._rel_lengths = sorted({len(f) for f in self._forbidden})
+        self._max_rel = max(self._rel_lengths, default=1)
+        if basis is None:
+            self._check_admissible()
+            basis = self._enumerate_basis()
+        self.basis = basis
+        self._basis_index = {p: i for i, p in enumerate(basis)}
+        self._cache = {}
+        self._opposite = None
 
     def _window_ok(self, seq):
         """No forbidden factor ends at the last arrow of ``seq``."""
@@ -110,7 +120,7 @@ class MonomialAlgebra:
                     ext = seq + (a,)
                     if self._window_ok(ext):
                         stack.append((arrows[a].target, ext))
-        paths.sort(key=lambda p: (p.length, p.arrows, p.source))
+        paths.sort(key=_path_order)
         return tuple(paths)
 
     # -- queries ------------------------------------------------------------
@@ -148,14 +158,17 @@ class MonomialAlgebra:
     def opposite(self):
         """The opposite algebra: arrows and relations reversed.
 
+        A path avoids the relations exactly when its reverse avoids the
+        reversed ones, so the basis is this one reversed, with no search.
         Cached, and an involution: ``A.opposite().opposite() is A``.
         """
         if self._opposite is None:
-            from .quiver import Arrow, Quiver
             rev = Quiver(self.quiver.vertex_count,
                          tuple(Arrow(a.name, a.target, a.source) for a in self.quiver.arrows))
-            rels = tuple(Path(r.target, r.source, r.reversed_key()) for r in self.relations)
-            opp = MonomialAlgebra(rev, rels)
+            reverse = lambda p: Path(p.target, p.source, p.reversed_key())
+            opp = MonomialAlgebra.__new__(MonomialAlgebra)
+            opp._install(rev, tuple(sorted(map(reverse, self.relations), key=_path_order)),
+                         tuple(sorted(map(reverse, self.basis), key=_path_order)))
             opp._opposite = self
             self._opposite = opp
         return self._opposite
@@ -164,15 +177,12 @@ class MonomialAlgebra:
         return all(self.extend_by_arrow(p, a) is None
                    for a in self.quiver.out_arrows[p.target])
 
-    def maximal_paths_from(self, v):
-        return [p for p in self.basis if p.source == v and self._is_maximal(p)]
-
     def socle_criterion(self, v, side=Side.RIGHT):
         """True when exactly one maximal nonzero path starts at v (RIGHT) or
         ends at v (LEFT); equivalently the corresponding indecomposable
         projective has simple socle."""
         if side is Side.RIGHT:
-            return len(self.maximal_paths_from(v)) == 1
+            return sum(p.source == v and self._is_maximal(p) for p in self.basis) == 1
         if side is Side.LEFT:
             return self.opposite().socle_criterion(v, Side.RIGHT)
         raise ValueError("socle_criterion takes RIGHT or LEFT")

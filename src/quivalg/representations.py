@@ -49,11 +49,9 @@ class Representation:
         """Matrix of the right action of a path, from its source space to
         its target space."""
         m = linalg.identity(self.dims[path.source])
-        v = path.source
         for a in path.arrows:
             tgt = self.algebra.quiver.arrows[a].target
             m = linalg.mat_mul(m, self.maps[a], bcols=self.dims[tgt])
-            v = tgt
         return m
 
     def __eq__(self, other):

@@ -2,13 +2,18 @@
 
 ``canonical_form`` is the package's former canonical form of one built
 algebra, minimized over every vertex permutation of its own presentation;
-``reduce_relations`` is the former pairwise relation reduction.  The tests
-compare ``quivalg.enumeration.canonical_form`` (relabelings computed once
-per quiver) and ``quivalg.monomial._reduce_relations`` (factor lookups)
-against them.
+``reduce_relations`` is the former pairwise relation reduction;
+``opposite`` is the former opposite algebra, built from scratch over the
+reversed presentation.  The tests compare
+``quivalg.enumeration.canonical_form`` (relabelings computed once per
+quiver), ``quivalg.monomial._reduce_relations`` (factor lookups) and
+``MonomialAlgebra.opposite`` (the basis reversed) against them.
 """
 
 from itertools import permutations, product
+
+from quivalg.monomial import MonomialAlgebra
+from quivalg.quiver import Arrow, Path, Quiver
 
 
 def canonical_form(algebra):
@@ -66,3 +71,13 @@ def reduce_relations(relations):
         if not any(o is not r and _factor_of(o.arrows, r.arrows) for o in unique):
             kept.append(r)
     return tuple(kept)
+
+
+def opposite(algebra):
+    """The opposite algebra through the full construction: connectivity and
+    relation checks, admissibility search and basis enumeration."""
+    quiver = algebra.quiver
+    rev = Quiver(quiver.vertex_count,
+                 tuple(Arrow(a.name, a.target, a.source) for a in quiver.arrows))
+    return MonomialAlgebra(rev, tuple(Path(r.target, r.source, r.reversed_key())
+                                      for r in algebra.relations))

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from quivalg.cli import main, paper_example, paper_example_text, parse_algebra
+from quivalg.cli import build_parser, main, paper_example, paper_example_text, parse_algebra
 from quivalg.errors import AlgebraParseError, DisconnectedQuiverError, NotAdmissibleError
+from quivalg.monomial import Side
 
 
 GOOD = """\
@@ -97,6 +98,60 @@ def test_cli_coresolve_nakayama_qf2(tmp_path, capsys):
     assert "not a Nakayama" in capsys.readouterr().out
     assert main(["qf2", str(path), "--side", "right"]) == 0
     assert "QF-2 (right): False" in capsys.readouterr().out
+
+
+def test_cli_qf2_prints_each_criterion_and_their_verdict(tmp_path, capsys):
+    # the paper example is not QF-2: some projectives on each side have a
+    # socle that is not simple
+    path = tmp_path / "alg.txt"
+    path.write_text(GOOD)
+    algebra = parse_algebra(GOOD)
+    assert main(["qf2", str(path), "--side", "both"]) == 0
+    expected = [f"{s.value} socle at vertex {v + 1}: "
+                f"{'simple' if algebra.socle_criterion(v, s) else 'not simple'}"
+                for s in (Side.RIGHT, Side.LEFT) for v in range(5)]
+    assert algebra.is_qf2(Side.BOTH) is False
+    assert any("not simple" in line for line in expected[:5])
+    assert any("not simple" in line for line in expected[5:])
+    assert capsys.readouterr().out.splitlines() == expected + ["QF-2 (both): False"]
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    path = tmp_path / "alg.txt"
+    path.write_text(GOOD)
+    calls = [["domdim", str(path), "--cutoff", "0"], ["domdim", str(path)],
+             ["--version"], ["domdim", str(path), "--cutoff", "0"]]
+    build_parser.cache_clear()
+    first = [_run(argv, capsys) for argv in calls]
+    assert build_parser() is build_parser()
+    assert first[0] == first[3] and first[0][0] == 1
+    assert "must be at least 1" in first[0][2]
+    assert first[1] == (0, "dominant dimension: 1\n", "")
+    assert first[2][0] == 0 and first[2][1].startswith("quivalg ")
+    # each call run alone on a freshly built parser gives the same result
+    for argv, result in zip(calls, first):
+        build_parser.cache_clear()
+        assert _run(argv, capsys) == result
+
+
+def test_cli_keeps_no_algebra_between_calls(tmp_path, capsys):
+    path = tmp_path / "alg.txt"
+    path.write_text(GOOD)
+    assert main(["domdim", str(path)]) == 0
+    assert capsys.readouterr().out == "dominant dimension: 1\n"
+    path.write_text("vertices: 1\narrows: x 1 1\nrelations: x x\n")  # selfinjective
+    assert main(["domdim", str(path)]) == 0
+    assert capsys.readouterr().out == "dominant dimension: infinity\n"
 
 
 @pytest.mark.parametrize("terms,last_line", [

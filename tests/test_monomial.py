@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import presentation_oracles as oracle
+from quivalg.cli import paper_example_text, parse_algebra
+from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
 from quivalg.errors import BadRelationError, DisconnectedQuiverError, NotAdmissibleError
 from quivalg.monomial import MonomialAlgebra, Side, _reduce_relations, build
+from quivalg.nakayama import kupisch_to_algebra, parse_kupisch
 from quivalg.quiver import Quiver
 from quivalg.representations import projective_module, socle
 
@@ -107,6 +110,28 @@ def test_opposite_is_involution(branching_algebra, a2, dual_numbers):
     for a in (branching_algebra, a2, dual_numbers):
         assert a.opposite().opposite() is a
         assert a.opposite().opposite() == a
+
+
+def test_opposite_matches_the_full_construction():
+    """The reversed basis equals what the search and enumeration find over
+    the reversed presentation, in the same order and with the same index and
+    products, over two small corpora, the paper example and Kupisch series."""
+    series = ["linear:10,9,8,7,6,5,4,3,2,1", "cyclic:4,4,4,5,5,4,3,3",
+              "linear:" + ",".join(["3"] * 12 + ["2", "1"]), "cyclic:" + ",".join(["2"] * 14)]
+    algebras = [a for bounds in (CorpusBounds(3, 3, 2), CorpusBounds(2, 2, 3))
+                for a in enumerate_monomial_algebras(bounds)]
+    algebras += [parse_algebra(paper_example_text())] + [kupisch_to_algebra(parse_kupisch(s)) for s in series]
+    assert max(a.quiver.vertex_count for a in algebras) == 14
+    for a in algebras:
+        opp, expected = a.opposite(), oracle.opposite(a)
+        assert opp.quiver == expected.quiver
+        assert opp.basis == expected.basis
+        assert opp.relations == expected.relations
+        assert opp._basis_index == expected._basis_index
+        for p in opp.basis:
+            for arrow in range(len(opp.quiver.arrows)):
+                assert opp.extend_by_arrow(p, arrow) == expected.extend_by_arrow(p, arrow)
+        assert opp.opposite() is a
 
 
 def test_self_opposite_loop():

@@ -32,3 +32,23 @@ def test_corpus_stats_counts():
     assert proc.returncode == 0
     assert [line.split(" algebras")[0] for line in proc.stdout.splitlines()] == [
         "(1,1,3): 3", "(2,1,2): 3"]
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_profile_sweep_exits_quietly_when_the_reader_closes(lines_read):
+    # as in `profile_sweep.py 2,2,2 | head -1`; with no line read the pipe is
+    # closed before the script writes, so its first write fails for certain
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"}
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        if not lines_read:
+            reader.close()
+        proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "profile_sweep.py"),
+                                 "2,2,2"], stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+        if lines_read:
+            assert reader.readline().startswith(b"12 algebras in ")
+    _, err = proc.communicate(timeout=60)
+    # after one line the script may have written every line before the close
+    assert proc.returncode == 1 or (lines_read and proc.returncode == 0)
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
