@@ -10,10 +10,9 @@ relation sets).
 """
 
 import argparse
-import sys
 import time
 
-from argtypes import corpus_bounds
+from argtypes import corpus_bounds, exit_with
 from quivalg.enumeration import enumerate_monomial_algebras
 
 
@@ -29,4 +28,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    exit_with(main)

@@ -6,20 +6,11 @@ Usage: profile_sweep.py [V,E,L] [--workers N]
 """
 
 import argparse
-import os
-import sys
 import time
 from collections import Counter
 
-from argtypes import corpus_bounds
+from argtypes import corpus_bounds, exit_with, positive_int
 from quivalg.verify import DEFAULT_CORPORA, sweep_corpus
-
-
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def main(argv):
@@ -48,12 +39,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    try:
-        status = main(sys.argv[1:])
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed early (``| head -1``); the flush at exit would
-        # raise again, so it goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 1
-    sys.exit(status)
+    exit_with(main)

@@ -47,7 +47,7 @@ from .nakayama import (
 )
 from .quiver import Quiver, shape_classify
 from .representations import injective_module
-from .verify import DEFAULT_CORPORA, DEFAULT_MAX_C, DEFAULT_MAX_N, SUITES, run_suite
+from .verify import DEFAULT_CORPORA, DEFAULT_MAX_C, DEFAULT_MAX_N, SUITES, run_suites
 
 
 def parse_algebra(text):
@@ -355,8 +355,8 @@ def _cmd_verify(args):
         bounds = (CorpusBounds(*triple),)
     else:
         bounds = DEFAULT_CORPORA
-    report = run_suite(args.suite, bounds=bounds, max_n=args.max_n,
-                       max_c=args.max_c, workers=args.workers)
+    [report] = run_suites([args.suite], bounds=bounds, max_n=args.max_n,
+                          max_c=args.max_c, workers=args.workers)
     if args.report:
         report.write(args.report)
         print(f"report written to {args.report}", file=sys.stderr)

@@ -11,6 +11,7 @@ worker count.
 import json
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import __version__
@@ -30,6 +31,7 @@ from .enumeration import (
     enumerate_monomial_algebras,
 )
 from .homological import (
+    DomDim,
     base_algebra,
     dominant_dimension,
     double_centralizer_check,
@@ -52,8 +54,6 @@ from .nakayama import (
 )
 from .quiver import Arrow, Quiver, QuiverShape, kupisch_walk, shape_classify
 from .representations import projective_socle_dims
-
-SUITES = ("main-theorem", "yamagata", "qf2-chain", "morita", "cross-checks")
 
 # The default corpus pairs a length-two-relation family with a smaller
 # family exercising relation length three; together they stay in the
@@ -160,12 +160,6 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
     }
 
 
-def _facts_ge(fact_domdim, k):
-    if fact_domdim["kind"] == "infinite":
-        return True
-    return fact_domdim["value"] >= k
-
-
 def _quiver_payloads(bounds):
     quivers = connected_quivers(bounds.max_vertices, bounds.max_arrows)
     return [(q.vertex_count, tuple((a.source, a.target) for a in q.arrows),
@@ -182,8 +176,6 @@ def sweep_corpus(corpora, cutoff=DOMDIM_CUTOFF, workers=1):
     """Facts for every algebra of every corpus, partitioned per quiver and
     merged in canonical order regardless of the worker count, which is
     capped at the number of CPUs."""
-    if isinstance(corpora, CorpusBounds):
-        corpora = (corpora,)
     payloads = [(n, pairs, max_rel, cutoff)
                 for bounds in corpora
                 for n, pairs, max_rel in _quiver_payloads(bounds)]
@@ -199,13 +191,11 @@ def sweep_corpus(corpora, cutoff=DOMDIM_CUTOFF, workers=1):
     return [fact for chunk in chunks for fact in chunk]
 
 
-def _corpora_dict(corpora):
-    if isinstance(corpora, CorpusBounds):
-        corpora = (corpora,)
-    return {"corpora": [b.as_dict() for b in corpora]}
-
-
 # -- suites ---------------------------------------------------------------------
+
+
+def _domdim_ge(fact_domdim, k):
+    return DomDim(**fact_domdim).ge(k)
 
 
 def main_theorem_corpus_checks(facts):
@@ -218,47 +208,60 @@ def main_theorem_corpus_checks(facts):
         naka = f["shape"] != QuiverShape.NOT_NAKAYAMA.value
         if naka:
             counts["nakayama_shape"] += 1
-        if _facts_ge(f["domdim"], 2):
+        if _domdim_ge(f["domdim"], 2):
             counts["domdim_ge2"] += 1
             if not naka:
                 counterexamples.append({**form, "implication": "domdim>=2 => nakayama shape"})
     return counts, counterexamples
 
 
-def kupisch_side_checks(max_n, max_c, cmp_n, cmp_c):
-    """Counts and counterexamples for the Kupisch-side set matching."""
+def _endomorphisms(algebra):
+    """The map from a tuple of uniserial ids over a Nakayama algebra B to
+    End_B of their direct sum; every tuple shares the hom spaces between
+    the uniserials of B."""
+    universe = all_uniserial_ids(algebra)
+    ctx = EndomorphismContext([uniserial_module(algebra, t, l) for t, l in universe])
+    pos = {uid: i for i, uid in enumerate(universe)}
+    return lambda cand: ctx.endo_algebra([pos[uid] for uid in cand])
+
+
+def _instance(ks, cand):
+    """The counterexample fields naming the module M = sum of ``cand`` over
+    the series ``ks``."""
+    return {"series": str(ks), "summands": list(map(list, cand))}
+
+
+def kupisch_side_checks(max_n, max_c):
+    """Counts and counterexamples for the Kupisch-side set matching: the
+    Kupisch series realized by endomorphism algebras of allowed
+    generator-cogenerators coincide with those of the Nakayama algebras
+    within the comparison bounds of dominant dimension at least two whose
+    base algebra fits the generator bounds."""
+    cmp_n, cmp_c = COMPARISON_MAX_N, COMPARISON_MAX_C
     counterexamples = []
     lhs = set()
     n_endo = 0
     for ks in enumerate_kupisch(max_n, max_c):
         algebra = kupisch_to_algebra(ks)
-        universe = all_uniserial_ids(algebra)
-        reps = [uniserial_module(algebra, t, l) for t, l in universe]
-        ctx = EndomorphismContext(reps)
-        pos = {uid: i for i, uid in enumerate(universe)}
+        endo_of = _endomorphisms(algebra)
         for cand in gen_cogen_candidate_ids(algebra, full_universe=False):
             n_endo += 1
-            endo = ctx.endo_algebra([pos[uid] for uid in cand])
-            kc = kupisch_of_endo(endo)
+            kc = kupisch_of_endo(endo_of(cand))
             if kc is None:
                 counterexamples.append({
-                    "implication": "End of allowed generator-cogenerator is Nakayama",
-                    "series": str(ks), "summands": list(map(list, cand)),
-                })
+                    **_instance(ks, cand),
+                    "implication": "End of allowed generator-cogenerator is Nakayama"})
                 continue
             recon = kupisch_to_algebra(kc)
             if not dominant_dimension(recon, 2).ge(2):
                 counterexamples.append({
-                    "implication": "End of generator-cogenerator has domdim >= 2",
-                    "series": str(ks), "summands": list(map(list, cand)),
-                })
+                    **_instance(ks, cand),
+                    "implication": "End of generator-cogenerator has domdim >= 2"})
             base_ks = kupisch_of_endo(base_algebra(recon))
             if base_ks != ks.canonical():
                 counterexamples.append({
-                    "implication": "base algebra of End_B(M) recovers B",
-                    "series": str(ks), "summands": list(map(list, cand)),
-                    "base": str(base_ks),
-                })
+                    **_instance(ks, cand), "base": str(base_ks),
+                    "implication": "base algebra of End_B(M) recovers B"})
             if kc.vertex_count <= cmp_n and max(kc.lengths) <= cmp_c:
                 lhs.add(str(kc))
     rhs = set()
@@ -292,27 +295,10 @@ def kupisch_side_checks(max_n, max_c, cmp_n, cmp_c):
     return counts, counterexamples
 
 
-def run_main_theorem(bounds=DEFAULT_CORPORA, max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C,
-                     cmp_n=COMPARISON_MAX_N, cmp_c=COMPARISON_MAX_C, workers=1):
-    """Monomial side of the classification plus the Kupisch-side matching:
-    an algebra in the corpus with dominant dimension at least two must have
-    a Nakayama-shaped quiver, and the Kupisch series realized by
-    endomorphism algebras of allowed generator-cogenerators must coincide
-    with those of Nakayama algebras of dominant dimension at least two
-    whose base algebra fits the generator bounds."""
-    t0 = time.time()
-    facts = sweep_corpus(bounds, workers=workers)
-    counts, counterexamples = main_theorem_corpus_checks(facts)
-    k_counts, k_ces = kupisch_side_checks(max_n, max_c, cmp_n, cmp_c)
-    counts.update(k_counts)
-    counterexamples.extend(k_ces)
-    return suite_report("main-theorem",
-                        {**_corpora_dict(bounds), "max_n": max_n, "max_c": max_c,
-                         "comparison_max_n": cmp_n, "comparison_max_c": cmp_c},
-                        counts, counterexamples, t0)
-
-
 def qf2_chain_checks(facts):
+    """domdim >= 2 forces QF-2 on both sides, two-sided QF-2 forces a
+    Nakayama-shaped quiver, and the combinatorial socle criterion matches
+    the linear-algebra socle of every projective."""
     counts = {"algebras": len(facts), "qf2_both": 0, "domdim_ge2": 0}
     counterexamples = []
     for f in facts:
@@ -321,7 +307,7 @@ def qf2_chain_checks(facts):
         naka = f["shape"] != QuiverShape.NOT_NAKAYAMA.value
         if qf2_both:
             counts["qf2_both"] += 1
-        if _facts_ge(f["domdim"], 2):
+        if _domdim_ge(f["domdim"], 2):
             counts["domdim_ge2"] += 1
             if not qf2_both:
                 counterexamples.append({**form, "implication": "domdim>=2 => QF-2 on both sides"})
@@ -333,23 +319,18 @@ def qf2_chain_checks(facts):
     return counts, counterexamples
 
 
-def run_qf2_chain(bounds=DEFAULT_CORPORA, workers=1):
-    """domdim >= 2 forces QF-2 on both sides, two-sided QF-2 forces a
-    Nakayama-shaped quiver, and the combinatorial socle criterion matches
-    the linear-algebra socle of every projective."""
-    t0 = time.time()
-    facts = sweep_corpus(bounds, workers=workers)
-    counts, counterexamples = qf2_chain_checks(facts)
-    return suite_report("qf2-chain", _corpora_dict(bounds), counts, counterexamples, t0)
-
-
 def cross_check_facts(facts):
+    """Dominant-dimension characterisations: a minimal faithful
+    projective-injective exists exactly at domdim >= 1, the double
+    centraliser holds exactly at domdim >= 2, domdim is invariant under
+    opposites, and at domdim >= 1 the base algebra is Nakayama and the two
+    corner algebras have equal dimension."""
     counts = {"algebras": len(facts), "domdim_ge1": 0, "dc_holds": 0}
     counterexamples = []
     for f in facts:
         form = {"canonical_form": f["form"]}
-        ge1 = _facts_ge(f["domdim"], 1)
-        ge2 = _facts_ge(f["domdim"], 2)
+        ge1 = _domdim_ge(f["domdim"], 1)
+        ge2 = _domdim_ge(f["domdim"], 2)
         if ge1:
             counts["domdim_ge1"] += 1
         if f["dc_holds"]:
@@ -415,41 +396,19 @@ def structural_oracle_checks(max_n, max_c):
     return counts, counterexamples
 
 
-def run_cross_checks(bounds=DEFAULT_CORPORA, max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C,
-                     workers=1):
-    """Dominant-dimension characterisations and structural oracles:
-    existence of a minimal faithful projective-injective at domdim >= 1,
-    the double centraliser at domdim >= 2, invariance under opposites,
-    Nakayama base algebras, corner-dimension agreement, Kupisch
-    roundtrips, and the fixed enumeration counts."""
-    t0 = time.time()
-    facts = sweep_corpus(bounds, workers=workers)
-    counts, counterexamples = cross_check_facts(facts)
-    s_counts, s_ces = structural_oracle_checks(max_n, max_c)
-    counts.update(s_counts)
-    counterexamples.extend(s_ces)
-    return suite_report("cross-checks",
-                        {**_corpora_dict(bounds), "max_n": max_n, "max_c": max_c},
-                        counts, counterexamples, t0)
-
-
-def run_yamagata(max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C):
+def yamagata_checks(max_n, max_c):
     """Over every Kupisch series within bounds and every basic
     generator-cogenerator from the full uniserial universe: End_B(M) is
     Nakayama exactly when all summands are allowed, End_B(M) is always
     QF-2 on both sides, and for Nakayama outcomes the projective-injective
     vertices match the injective summands."""
-    t0 = time.time()
     counts = {"series": 0, "candidates": 0, "allowed_candidates": 0,
               "nakayama_endos": 0}
     counterexamples = []
     for ks in enumerate_kupisch(max_n, max_c):
         counts["series"] += 1
         algebra = kupisch_to_algebra(ks)
-        universe = all_uniserial_ids(algebra)
-        reps = [uniserial_module(algebra, t, l) for t, l in universe]
-        ctx = EndomorphismContext(reps)
-        pos = {uid: i for i, uid in enumerate(universe)}
+        endo_of = _endomorphisms(algebra)
         allowed = set(allowed_summand_ids(algebra))
         injective_ids = {injective_uniserial_id(algebra, v)
                          for v in range(algebra.quiver.vertex_count)}
@@ -458,31 +417,24 @@ def run_yamagata(max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C):
             expect_nakayama = all(uid in allowed for uid in cand)
             if expect_nakayama:
                 counts["allowed_candidates"] += 1
-            endo = ctx.endo_algebra([pos[uid] for uid in cand])
+            endo = endo_of(cand)
             naka = is_nakayama_algebra(endo)
             if naka:
                 counts["nakayama_endos"] += 1
             if naka != expect_nakayama:
                 counterexamples.append({
-                    "implication": "End_B(M) Nakayama <=> summands allowed",
-                    "series": str(ks), "summands": list(map(list, cand)),
-                    "nakayama": naka,
-                })
+                    **_instance(ks, cand), "nakayama": naka,
+                    "implication": "End_B(M) Nakayama <=> summands allowed"})
             if not is_qf2_algebra(endo):
-                counterexamples.append({
-                    "implication": "End_B(M) is QF-2",
-                    "series": str(ks), "summands": list(map(list, cand)),
-                })
+                counterexamples.append({**_instance(ks, cand),
+                                        "implication": "End_B(M) is QF-2"})
             if naka:
                 mismatch = _apt_mismatch(endo, cand, injective_ids)
                 if mismatch:
                     counterexamples.append({
-                        "implication": "projective-injectives of End_B(M) sit at injective summands",
-                        "series": str(ks), "summands": list(map(list, cand)),
-                        "detail": mismatch,
-                    })
-    return suite_report("yamagata", {"max_n": max_n, "max_c": max_c},
-                        counts, counterexamples, t0)
+                        **_instance(ks, cand), "detail": mismatch, "implication":
+                        "projective-injectives of End_B(M) sit at injective summands"})
+    return counts, counterexamples
 
 
 def _apt_mismatch(endo, cand, injective_ids):
@@ -499,54 +451,56 @@ def _apt_mismatch(endo, cand, injective_ids):
     return None
 
 
-def run_morita(max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C):
+def morita_checks(max_n, max_c):
     """Forward direction of the Morita-algebra classification: for a
     selfinjective (constant cyclic) series and M = B plus distinct P/soc
     summands, End_B(M) is Nakayama with selfinjective base and dominant
     dimension at least two."""
-    t0 = time.time()
     counts = {"series": 0, "instances": 0}
     counterexamples = []
     for c in range(2, max_c + 1):
         for n in range(1, max_n + 1):
             ks = KupischSeries(QuiverShape.CYCLIC, (c,) * n)
             counts["series"] += 1
-            algebra = kupisch_to_algebra(ks)
-            universe = all_uniserial_ids(algebra)
-            reps = [uniserial_module(algebra, t, l) for t, l in universe]
-            ctx = EndomorphismContext(reps)
-            pos = {uid: i for i, uid in enumerate(universe)}
-            projs = sorted((v, c) for v in range(n))
-            rad_tops = sorted((v, c - 1) for v in range(n)) if c > 1 else []
-            for mask in range(1 << len(rad_tops)):
+            endo_of = _endomorphisms(kupisch_to_algebra(ks))
+            projs = [(v, c) for v in range(n)]
+            rad_tops = [(v, c - 1) for v in range(n)]
+            for mask in range(1 << n):
                 counts["instances"] += 1
-                cand = tuple(sorted(set(projs)
-                                    | {rt for k, rt in enumerate(rad_tops) if mask >> k & 1}))
-                endo = ctx.endo_algebra([pos[uid] for uid in cand])
-                entry = {"series": str(ks), "summands": list(map(list, cand))}
+                cand = tuple(sorted(projs + [rt for k, rt in enumerate(rad_tops)
+                                             if mask >> k & 1]))
+                endo = endo_of(cand)
                 if not is_nakayama_algebra(endo):
-                    counterexamples.append({**entry, "implication": "End is Nakayama"})
+                    counterexamples.append({**_instance(ks, cand),
+                                            "implication": "End is Nakayama"})
                     continue
-                kc = kupisch_of_endo(endo)
-                recon = kupisch_to_algebra(kc)
+                recon = kupisch_to_algebra(kupisch_of_endo(endo))
                 if not dominant_dimension(recon, 2).ge(2):
-                    counterexamples.append({**entry, "implication": "End has domdim >= 2"})
+                    counterexamples.append({**_instance(ks, cand),
+                                            "implication": "End has domdim >= 2"})
                 base_ks = kupisch_of_endo(base_algebra(recon))
                 if base_ks is None or not is_selfinjective_kupisch(base_ks):
-                    counterexamples.append({**entry, "implication": "base algebra is selfinjective"})
-    return suite_report("morita", {"max_n": max_n, "max_c": max_c},
-                        counts, counterexamples, t0)
+                    counterexamples.append({**_instance(ks, cand),
+                                            "implication": "base algebra is selfinjective"})
+    return counts, counterexamples
 
 
-# The counts of the families each suite sweeps; a suite over an empty
-# family fails instead of passing vacuously.
-FAMILY_COUNTS = {
-    "main-theorem": ("algebras", "endo_instances", "comparison_series"),
-    "yamagata": ("series", "candidates"),
-    "qf2-chain": ("algebras",),
-    "morita": ("series", "instances"),
-    "cross-checks": ("algebras", "kupisch_series"),
+# A suite checks the corpus facts, the (max_n, max_c) families, or both; its
+# report records the named bounds, and it fails when a family it sweeps is
+# empty instead of passing vacuously.
+_Suite = namedtuple("_Suite", "facts_checks family_checks bounds families")
+_SUITE_TABLE = {
+    "main-theorem": _Suite(
+        main_theorem_corpus_checks, kupisch_side_checks,
+        ("corpora", "max_n", "max_c", "comparison_max_n", "comparison_max_c"),
+        ("algebras", "endo_instances", "comparison_series")),
+    "yamagata": _Suite(None, yamagata_checks, ("max_n", "max_c"), ("series", "candidates")),
+    "qf2-chain": _Suite(qf2_chain_checks, None, ("corpora",), ("algebras",)),
+    "morita": _Suite(None, morita_checks, ("max_n", "max_c"), ("series", "instances")),
+    "cross-checks": _Suite(cross_check_facts, structural_oracle_checks,
+                           ("corpora", "max_n", "max_c"), ("algebras", "kupisch_series")),
 }
+SUITES = tuple(_SUITE_TABLE)
 
 
 def suite_report(suite, bounds, counts, counterexamples, started):
@@ -554,7 +508,7 @@ def suite_report(suite, bounds, counts, counterexamples, started):
     counterexamples in a fixed order."""
     counterexamples = counterexamples + [
         {"implication": "the swept family is nonempty", "count": name}
-        for name in FAMILY_COUNTS[suite] if not counts[name]]
+        for name in _SUITE_TABLE[suite].families if not counts[name]]
     return VerificationReport(
         suite=suite, bounds=bounds, counts=counts,
         counterexamples=sorted(counterexamples, key=lambda d: json.dumps(d, sort_keys=True)),
@@ -562,18 +516,30 @@ def suite_report(suite, bounds, counts, counterexamples, started):
     )
 
 
-def run_suite(suite, bounds=None, max_n=None, max_c=None, workers=1):
-    bounds = bounds or DEFAULT_CORPORA
-    max_n = max_n if max_n is not None else DEFAULT_MAX_N
-    max_c = max_c if max_c is not None else DEFAULT_MAX_C
-    if suite == "main-theorem":
-        return run_main_theorem(bounds, max_n, max_c, workers=workers)
-    if suite == "yamagata":
-        return run_yamagata(max_n, max_c)
-    if suite == "qf2-chain":
-        return run_qf2_chain(bounds, workers=workers)
-    if suite == "morita":
-        return run_morita(max_n, max_c)
-    if suite == "cross-checks":
-        return run_cross_checks(bounds, max_n, max_c, workers=workers)
-    raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+def run_suites(suites, bounds=DEFAULT_CORPORA, max_n=DEFAULT_MAX_N, max_c=DEFAULT_MAX_C,
+               workers=1):
+    """One report per suite, in the order given.  The corpus is swept at
+    most once, when the first suite that reads its facts runs, and that
+    suite's wall time includes the sweep."""
+    unknown = [s for s in suites if s not in _SUITE_TABLE]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; choose from {', '.join(SUITES)}")
+    recorded = {"corpora": [b.as_dict() for b in bounds], "max_n": max_n, "max_c": max_c,
+                "comparison_max_n": COMPARISON_MAX_N, "comparison_max_c": COMPARISON_MAX_C}
+    facts = None
+    reports = []
+    for suite in suites:
+        t0 = time.time()
+        row = _SUITE_TABLE[suite]
+        counts, counterexamples = {}, []
+        if row.facts_checks is not None:
+            if facts is None:
+                facts = sweep_corpus(bounds, workers=workers)
+            counts, counterexamples = row.facts_checks(facts)
+        if row.family_checks is not None:
+            more_counts, more = row.family_checks(max_n, max_c)
+            counts.update(more_counts)
+            counterexamples.extend(more)
+        reports.append(suite_report(suite, {k: recorded[k] for k in row.bounds},
+                                    counts, counterexamples, t0))
+    return reports

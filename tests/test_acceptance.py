@@ -1,9 +1,10 @@
 """Acceptance suite: one test per acceptance criterion.
 
-The corpus-based criteria share a single exhaustive sweep over the default
-corpora (all connected quivers with up to 4 vertices and 4 arrows with
-quadratic relations, plus all quivers with up to 3 vertices and 2 arrows
-with relations up to length three).  Every test prints an explicit
+Every suite runs once, at the default bounds, through ``run_suites``; the
+corpus-based criteria read the reports of its single exhaustive sweep over
+the default corpora (all connected quivers with up to 4 vertices and 4
+arrows with quadratic relations, plus all quivers with up to 3 vertices and
+2 arrows with relations up to length three).  Every test prints an explicit
 PASS/FAIL line; run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
@@ -17,42 +18,15 @@ from quivalg.homological import DomDim, dominant_dimension
 from quivalg.nakayama import KupischSeries, kupisch_to_algebra, uniserial_module
 from quivalg.quiver import QuiverShape
 from quivalg.representations import projective_module
-from quivalg.verify import (
-    COMPARISON_MAX_C,
-    COMPARISON_MAX_N,
-    DEFAULT_CORPORA,
-    DEFAULT_MAX_C,
-    DEFAULT_MAX_N,
-    _corpora_dict,
-    cross_check_facts,
-    kupisch_side_checks,
-    main_theorem_corpus_checks,
-    qf2_chain_checks,
-    run_morita,
-    run_yamagata,
-    structural_oracle_checks,
-    suite_report,
-    sweep_corpus,
-)
+from quivalg.verify import SUITES, run_suites
 
 REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    t0 = time.time()
-    facts = sweep_corpus(DEFAULT_CORPORA)
-    return {"facts": facts, "sweep_seconds": time.time() - t0}
-
-
-@pytest.fixture(scope="module")
-def kupisch_side():
-    return kupisch_side_checks(DEFAULT_MAX_N, DEFAULT_MAX_C, COMPARISON_MAX_N, COMPARISON_MAX_C)
-
-
-@pytest.fixture(scope="module")
-def structural():
-    return structural_oracle_checks(DEFAULT_MAX_N, DEFAULT_MAX_C)
+def reports():
+    """Every suite's report at the default bounds, by suite name."""
+    return {report.suite: report for report in run_suites(SUITES)}
 
 
 def _assert_golden(report):
@@ -86,67 +60,63 @@ def test_criterion_1_paper_example_reproduction():
                 f"fails QF-2 and the double centraliser ({elapsed:.2f}s)")
 
 
-def test_criterion_2_main_theorem_monomial_side(corpus):
-    counts, ces = main_theorem_corpus_checks(corpus["facts"])
-    bad = _filtered(ces, "domdim>=2 => nakayama shape")
-    ok = not bad and corpus["sweep_seconds"] < 600
+def test_criterion_2_main_theorem_monomial_side(reports):
+    report = reports["main-theorem"]
+    bad = _filtered(report.counterexamples, "domdim>=2 => nakayama shape")
+    ok = not bad and report.wall_time_seconds < 600
     _report(ok, f"criterion 2: domdim>=2 <=> Nakayama shape & domdim>=2 on "
-                f"{counts['algebras']} algebras "
-                f"({corpus['sweep_seconds']:.0f}s sweep, {len(bad)} counterexamples)")
+                f"{report.counts['algebras']} algebras "
+                f"({report.wall_time_seconds:.0f}s with the sweep, {len(bad)} counterexamples)")
 
 
-def test_criterion_3a_minimal_faithful_iff_domdim_one(corpus):
-    _, ces = cross_check_facts(corpus["facts"])
-    bad = _filtered(ces, "domdim>=1 <=> minimal faithful projective-injective exists")
+def test_criterion_3a_minimal_faithful_iff_domdim_one(reports):
+    bad = _filtered(reports["cross-checks"].counterexamples,
+                    "domdim>=1 <=> minimal faithful projective-injective exists")
     _report(not bad, f"criterion 3a: domdim>=1 <=> minimal faithful "
                      f"projective-injective exists ({len(bad)} counterexamples)")
 
 
-def test_criterion_3b_double_centralizer_iff_domdim_two(corpus):
-    _, ces = cross_check_facts(corpus["facts"])
-    bad = _filtered(ces, "domdim>=2 <=> double centralizer")
+def test_criterion_3b_double_centralizer_iff_domdim_two(reports):
+    bad = _filtered(reports["cross-checks"].counterexamples, "domdim>=2 <=> double centralizer")
     _report(not bad, f"criterion 3b: domdim>=2 <=> double centraliser "
                      f"({len(bad)} counterexamples)")
 
 
-def test_criterion_3c_domdim_opposite_invariance(corpus):
-    _, ces = cross_check_facts(corpus["facts"])
-    bad = _filtered(ces, "domdim(A) == domdim(op A)")
+def test_criterion_3c_domdim_opposite_invariance(reports):
+    bad = _filtered(reports["cross-checks"].counterexamples, "domdim(A) == domdim(op A)")
     _report(not bad, f"criterion 3c: domdim(A) == domdim(opposite A) "
                      f"({len(bad)} counterexamples)")
 
 
-def test_criterion_4a_domdim_two_implies_qf2(corpus):
-    _, ces = qf2_chain_checks(corpus["facts"])
-    bad = _filtered(ces, "domdim>=2 => QF-2 on both sides")
+def test_criterion_4a_domdim_two_implies_qf2(reports):
+    bad = _filtered(reports["qf2-chain"].counterexamples, "domdim>=2 => QF-2 on both sides")
     _report(not bad, f"criterion 4a: domdim>=2 => QF-2 both sides "
                      f"({len(bad)} counterexamples)")
 
 
-def test_criterion_4b_qf2_implies_nakayama_shape(corpus):
-    _, ces = qf2_chain_checks(corpus["facts"])
-    bad = _filtered(ces, "monomial QF-2 => nakayama shape")
+def test_criterion_4b_qf2_implies_nakayama_shape(reports):
+    bad = _filtered(reports["qf2-chain"].counterexamples, "monomial QF-2 => nakayama shape")
     _report(not bad, f"criterion 4b: monomial QF-2 => Nakayama shape "
                      f"({len(bad)} counterexamples)")
 
 
-def test_criterion_4c_socle_criterion_matches_oracle(corpus):
-    _, ces = qf2_chain_checks(corpus["facts"])
-    bad = _filtered(ces, "socle criterion == socle dimension oracle")
+def test_criterion_4c_socle_criterion_matches_oracle(reports):
+    bad = _filtered(reports["qf2-chain"].counterexamples,
+                    "socle criterion == socle dimension oracle")
     _report(not bad, f"criterion 4c: combinatorial socle criterion == "
                      f"socle dimension oracle ({len(bad)} counterexamples)")
 
 
-def test_criterion_5_base_algebra_is_nakayama(corpus):
-    counts, ces = cross_check_facts(corpus["facts"])
-    bad = _filtered(ces, "base algebra fAf is componentwise Nakayama")
+def test_criterion_5_base_algebra_is_nakayama(reports):
+    report = reports["cross-checks"]
+    bad = _filtered(report.counterexamples, "base algebra fAf is componentwise Nakayama")
     _report(not bad, f"criterion 5: fAf componentwise Nakayama on "
-                     f"{counts['domdim_ge1']} algebras with domdim>=1 "
+                     f"{report.counts['domdim_ge1']} algebras with domdim>=1 "
                      f"({len(bad)} counterexamples)")
 
 
-def test_criterion_6_yamagata_biconditional():
-    report = run_yamagata(DEFAULT_MAX_N, DEFAULT_MAX_C)
+def test_criterion_6_yamagata_biconditional(reports):
+    report = reports["yamagata"]
     _assert_golden(report)
     ok = report.passed and report.wall_time_seconds < 300
     _report(ok, f"criterion 6: Nakayama(End) <=> allowed summands and QF-2 always, "
@@ -156,8 +126,10 @@ def test_criterion_6_yamagata_biconditional():
                 f"{len(report.counterexamples)} counterexamples)")
 
 
-def test_criterion_7_kupisch_side_set_equality(kupisch_side):
-    counts, ces = kupisch_side
+def test_criterion_7_kupisch_side_set_equality(reports):
+    counts = reports["main-theorem"].counts
+    # the Kupisch-side counterexamples name a series, the corpus ones a form
+    ces = [ce for ce in reports["main-theorem"].counterexamples if "series" in ce]
     ok = not ces and counts["realized_series"] == counts["matched_series"] > 0
     _report(ok, "criterion 7: realized endomorphism Kupisch series == "
                 "domdim>=2 series with base in bounds "
@@ -179,8 +151,8 @@ def test_criterion_8_auslander_spot_check():
                 f"{ks} with domdim {dd}")
 
 
-def test_criterion_9_morita_forward():
-    report = run_morita(DEFAULT_MAX_N, DEFAULT_MAX_C)
+def test_criterion_9_morita_forward(reports):
+    report = reports["morita"]
     _assert_golden(report)
     _report(report.passed,
             f"criterion 9: selfinjective series give Nakayama End algebras with "
@@ -188,8 +160,9 @@ def test_criterion_9_morita_forward():
             f"instances ({len(report.counterexamples)} counterexamples)")
 
 
-def test_criterion_10_structural_oracles(structural):
-    counts, ces = structural
+def test_criterion_10_structural_oracles(reports):
+    counts = reports["cross-checks"].counts
+    ces = [ce for ce in reports["cross-checks"].counterexamples if "canonical_form" not in ce]
     ok = (not ces and counts["kupisch_2_3"] == 7
           and counts["loop_algebras_1_1_3"] == 3)
     _report(ok, f"criterion 10: Kupisch roundtrips and selfinjectivity oracle over "
@@ -197,22 +170,13 @@ def test_criterion_10_structural_oracles(structural):
                 f"3 one-loop algebras ({len(ces)} counterexamples)")
 
 
-def test_main_theorem_report_is_golden(corpus, kupisch_side):
-    counts, ces = main_theorem_corpus_checks(corpus["facts"])
-    counts.update(kupisch_side[0])
-    bounds = {**_corpora_dict(DEFAULT_CORPORA), "max_n": DEFAULT_MAX_N,
-              "max_c": DEFAULT_MAX_C, "comparison_max_n": COMPARISON_MAX_N,
-              "comparison_max_c": COMPARISON_MAX_C}
-    _assert_golden(suite_report("main-theorem", bounds, counts, ces + kupisch_side[1], 0.0))
+def test_main_theorem_report_is_golden(reports):
+    _assert_golden(reports["main-theorem"])
 
 
-def test_qf2_chain_report_is_golden(corpus):
-    counts, ces = qf2_chain_checks(corpus["facts"])
-    _assert_golden(suite_report("qf2-chain", _corpora_dict(DEFAULT_CORPORA), counts, ces, 0.0))
+def test_qf2_chain_report_is_golden(reports):
+    _assert_golden(reports["qf2-chain"])
 
 
-def test_cross_checks_report_is_golden(corpus, structural):
-    counts, ces = cross_check_facts(corpus["facts"])
-    counts.update(structural[0])
-    bounds = {**_corpora_dict(DEFAULT_CORPORA), "max_n": DEFAULT_MAX_N, "max_c": DEFAULT_MAX_C}
-    _assert_golden(suite_report("cross-checks", bounds, counts, ces + structural[1], 0.0))
+def test_cross_checks_report_is_golden(reports):
+    _assert_golden(reports["cross-checks"])

@@ -246,10 +246,10 @@ def test_cli_verify_counterexample_exit(monkeypatch, capsys):
     from quivalg.verify import VerificationReport
 
     def fake(*args, **kwargs):
-        return VerificationReport(suite="qf2-chain", bounds={}, counts={},
-                                  counterexamples=[{"implication": "x"}])
+        return [VerificationReport(suite="qf2-chain", bounds={}, counts={},
+                                   counterexamples=[{"implication": "x"}])]
 
-    monkeypatch.setattr(cli_module, "run_suite", fake)
+    monkeypatch.setattr(cli_module, "run_suites", fake)
     assert main(["verify", "qf2-chain"]) == 2
 
 

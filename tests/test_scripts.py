@@ -34,8 +34,12 @@ def test_corpus_stats_counts():
         "(1,1,3): 3", "(2,1,2): 3"]
 
 
+@pytest.mark.parametrize("script,args,first_line", [
+    ("profile_sweep.py", ["2,2,2"], b"12 algebras in "),
+    ("corpus_stats.py", ["1,1,3", "2,1,2"], b"(1,1,3): 3 algebras"),
+], ids=["profile_sweep.py", "corpus_stats.py"])
 @pytest.mark.parametrize("lines_read", [0, 1])
-def test_profile_sweep_exits_quietly_when_the_reader_closes(lines_read):
+def test_scripts_exit_quietly_when_the_reader_closes(lines_read, script, args, first_line):
     # as in `profile_sweep.py 2,2,2 | head -1`; with no line read the pipe is
     # closed before the script writes, so its first write fails for certain
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"}
@@ -43,11 +47,11 @@ def test_profile_sweep_exits_quietly_when_the_reader_closes(lines_read):
     with open(read_end, "rb") as reader:
         if not lines_read:
             reader.close()
-        proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "profile_sweep.py"),
-                                 "2,2,2"], stdout=write_end, stderr=subprocess.PIPE, env=env)
+        proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / script), *args],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env)
         os.close(write_end)
         if lines_read:
-            assert reader.readline().startswith(b"12 algebras in ")
+            assert reader.readline().startswith(first_line)
     _, err = proc.communicate(timeout=60)
     # after one line the script may have written every line before the close
     assert proc.returncode == 1 or (lines_read and proc.returncode == 0)

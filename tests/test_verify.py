@@ -2,26 +2,48 @@ import json
 
 import pytest
 
+from quivalg import verify
 from quivalg.enumeration import CorpusBounds
 from quivalg.verify import (
+    SUITES,
     VerificationReport,
     algebra_facts,
     cross_check_facts,
     kupisch_side_checks,
     main_theorem_corpus_checks,
     qf2_chain_checks,
-    run_cross_checks,
-    run_main_theorem,
-    run_morita,
-    run_qf2_chain,
-    run_suite,
-    run_yamagata,
+    run_suites,
     structural_oracle_checks,
     suite_report,
     sweep_corpus,
 )
 
 TINY = (CorpusBounds(2, 2, 2),)
+
+
+@pytest.fixture
+def small_comparison(monkeypatch):
+    """Compare the Kupisch side against series up to 3 vertices and length 4."""
+    monkeypatch.setattr(verify, "COMPARISON_MAX_N", 3)
+    monkeypatch.setattr(verify, "COMPARISON_MAX_C", 4)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The arguments of every ``sweep_corpus`` call made by ``run_suites``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "sweep_corpus", counted)
+    return calls
+
+
+def _qf2_chain_tiny():
+    [report] = run_suites(["qf2-chain"], TINY)
+    return report
 
 
 def test_sweep_is_deterministic():
@@ -61,21 +83,36 @@ def test_structural_oracles_pass():
     assert counts["loop_algebras_1_1_3"] == 3
 
 
-def test_kupisch_side_small():
-    counts, ces = kupisch_side_checks(2, 2, 4, 4)
+def test_kupisch_side_small(monkeypatch):
+    monkeypatch.setattr(verify, "COMPARISON_MAX_N", 4)
+    monkeypatch.setattr(verify, "COMPARISON_MAX_C", 4)
+    counts, ces = kupisch_side_checks(2, 2)
     assert ces == []
     assert counts["realized_series"] == counts["matched_series"] > 0
 
 
-def test_run_suite_dispatch():
-    report = run_suite("qf2-chain", bounds=TINY)
+def test_run_suite_dispatch(sweeps):
+    [report] = run_suites(["qf2-chain"], bounds=TINY)
     assert report.suite == "qf2-chain" and report.passed
     with pytest.raises(ValueError):
-        run_suite("nonsense")
+        run_suites(["nonsense"])
+    # an unknown suite is rejected before the corpus is swept
+    with pytest.raises(ValueError, match="nonsense"):
+        run_suites(["qf2-chain", "nonsense"])
+    assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("suites,expected", [(SUITES, 1), (("yamagata", "morita"), 0)],
+                         ids=["all", "kupisch-side"])
+def test_run_suites_sweeps_the_corpus_at_most_once(suites, expected, sweeps, small_comparison):
+    reports = run_suites(suites, TINY, max_n=2, max_c=2)
+    assert [r.suite for r in reports] == list(suites)
+    assert all(r.passed for r in reports)
+    assert len(sweeps) == expected
 
 
 def test_report_roundtrip(tmp_path):
-    report = run_qf2_chain(TINY)
+    report = _qf2_chain_tiny()
     path = tmp_path / "report.json"
     report.write(str(path))
     data = json.loads(path.read_text())
@@ -86,8 +123,8 @@ def test_report_roundtrip(tmp_path):
 
 
 def test_report_bytes_identical_across_runs(tmp_path):
-    r1 = run_qf2_chain(TINY)
-    r2 = run_qf2_chain(TINY)
+    r1 = _qf2_chain_tiny()
+    r2 = _qf2_chain_tiny()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     r1.write(str(p1))
     r2.write(str(p2))
@@ -95,7 +132,7 @@ def test_report_bytes_identical_across_runs(tmp_path):
 
 
 def test_report_csv_summary():
-    report = run_qf2_chain(TINY)
+    report = _qf2_chain_tiny()
     csv = report.csv_summary()
     assert csv.splitlines()[0] == "key,value"
     assert "suite,qf2-chain" in csv
@@ -111,21 +148,21 @@ def test_failing_report_shape():
 
 
 def test_yamagata_and_morita_tiny():
-    r = run_yamagata(2, 2)
-    assert r.passed and r.counts["candidates"] >= r.counts["allowed_candidates"]
-    assert r.counts["allowed_candidates"] == r.counts["nakayama_endos"]
-    r = run_morita(2, 2)
-    assert r.passed and r.counts["instances"] > 0
+    yamagata, morita = run_suites(["yamagata", "morita"], max_n=2, max_c=2)
+    counts = yamagata.counts
+    assert yamagata.passed and counts["candidates"] >= counts["allowed_candidates"]
+    assert counts["allowed_candidates"] == counts["nakayama_endos"]
+    assert morita.passed and morita.counts["instances"] > 0
 
 
-def test_main_theorem_tiny():
-    r = run_main_theorem(TINY, max_n=2, max_c=2, cmp_n=3, cmp_c=4)
+def test_main_theorem_tiny(small_comparison):
+    [r] = run_suites(["main-theorem"], TINY, max_n=2, max_c=2)
     assert r.passed
     assert r.counts["matched_series"] == r.counts["realized_series"]
 
 
 def test_cross_checks_tiny():
-    r = run_cross_checks(TINY, max_n=2, max_c=2)
+    [r] = run_suites(["cross-checks"], TINY, max_n=2, max_c=2)
     assert r.passed
     assert r.counts["dc_holds"] <= r.counts["domdim_ge1"]
 
@@ -143,7 +180,7 @@ def test_algebra_facts_reuse_the_streamed_canonical_form(monkeypatch):
 
 
 def test_empty_families_fail():
-    report = run_morita(0, 4)
+    [report] = run_suites(["morita"], max_n=0, max_c=4)
     assert not report.passed
     assert {ce["count"] for ce in report.counterexamples} == {"series", "instances"}
     counts, ces = qf2_chain_checks([])
