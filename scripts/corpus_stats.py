@@ -20,10 +20,10 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("bounds", nargs="+", type=corpus_bounds, help="corpus bounds V,E,L")
     for bounds in parser.parse_args(argv).bounds:
-        t0 = time.time()
+        t0 = time.perf_counter()
         count = sum(1 for _ in enumerate_monomial_algebras(bounds))
         print(f"({bounds.max_vertices},{bounds.max_arrows},{bounds.max_relation_length}): "
-              f"{count} algebras in {time.time() - t0:.1f}s")
+              f"{count} algebras in {time.perf_counter() - t0:.1f}s")
     return 0
 
 

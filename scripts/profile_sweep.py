@@ -20,9 +20,9 @@ def main(argv):
     parser.add_argument("--workers", type=positive_int, default=1)
     args = parser.parse_args(argv)
     corpora = DEFAULT_CORPORA if args.bounds is None else (args.bounds,)
-    t0 = time.time()
+    t0 = time.perf_counter()
     facts = sweep_corpus(corpora, workers=args.workers)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     domdims = Counter()
     shapes = Counter()
     dc = Counter()

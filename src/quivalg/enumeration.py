@@ -43,25 +43,23 @@ class CorpusBounds:
 
 def connected_quivers(max_vertices, max_arrows):
     """Connected quivers with at most the given vertices and arrows, one
-    canonical representative per isomorphism class, in deterministic order."""
+    canonical representative per isomorphism class, in deterministic order:
+    the least sorted tuple of pair indices s * n + t over its class."""
     out = []
     for n in range(1, max_vertices + 1):
         pairs = [(s, t) for s in range(n) for t in range(n)]
-        perms = list(permutations(range(n)))
-        seen = set()
+        # each pair index under each vertex permutation but the identity
+        images = [[p[s] * n + p[t] for s, t in pairs] for p in permutations(range(n))][1:]
         for m in range(0, max_arrows + 1):
             if n > 1 and m < n - 1:
                 continue
-            for combo in combinations_with_replacement(pairs, m):
-                canon = min(tuple(sorted((p[s], p[t]) for s, t in combo)) for p in perms)
-                if combo != canon or canon in seen:
+            for combo in combinations_with_replacement(range(n * n), m):
+                key = list(combo)
+                if any(sorted([image[k] for k in combo]) < key for image in images):
                     continue
-                quiver = Quiver(n, tuple(Arrow(f"a{i}", s, t)
-                                         for i, (s, t) in enumerate(combo)))
-                if not is_connected(quiver):
-                    continue
-                seen.add(canon)
-                out.append(quiver)
+                quiver = Quiver(n, tuple(Arrow(f"a{i}", *pairs[k]) for i, k in enumerate(combo)))
+                if is_connected(quiver):
+                    out.append(quiver)
     return out
 
 
@@ -156,7 +154,11 @@ def canonical_form(quiver, relations):
     relabeled relations.  Equal strings exactly when one presentation maps
     onto the other."""
     pairs, relabelings = quiver.canonical_labelings
-    least = min(sorted([tuple([m[a] for a in r]) for r in relations]) for m in relabelings)
+    images = quiver.relabeled_words
+    for r in relations:
+        if r not in images:
+            images[r] = [tuple([m[a] for a in r]) for m in relabelings]
+    least = min(map(sorted, zip(*[images[r] for r in relations])), default=[])
     return repr((quiver.vertex_count, pairs, tuple(least))).encode("ascii")
 
 

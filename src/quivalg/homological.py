@@ -150,21 +150,10 @@ def _suffix_faithful(algebra, vertices):
     when it is a suffix of some basis path starting in the vertex set.
     """
     vset = set(vertices)
-    suffixes = set()
-    targets_hit = set()
-    for p in algebra.basis:
-        if p.source not in vset:
-            continue
-        targets_hit.add(p.target)
-        for k in range(len(p.arrows)):
-            suffixes.add(p.arrows[k:])
-    for q in algebra.basis:
-        if q.is_trivial:
-            if q.source not in targets_hit:
-                return False
-        elif q.arrows not in suffixes:
-            return False
-    return True
+    # (target, arrows) of every suffix, the trivial one at the end included
+    suffixes = {(p.target, p.arrows[k:]) for p in algebra.basis if p.source in vset
+                for k in range(len(p.arrows) + 1)}
+    return all((q.target, q.arrows) in suffixes for q in algebra.basis)
 
 
 def minimal_faithful_proj_inj(algebra, side=Side.RIGHT):
@@ -205,7 +194,7 @@ def double_centralizer_check(algebra):
     if verts is None:
         return DoubleCentralizerResult(False, algebra.dimension, None)
     vset = set(verts)
-    blocks = {v: [p for p in algebra.basis if p.target == v] for v in verts}
+    blocks = {v: algebra.paths_into(v) for v in verts}
     pos = {v: {p: i for i, p in enumerate(blocks[v])} for v in verts}
     # the commutant blocks Phi_v satisfy Phi_u R_p = R_p Phi_w for every
     # corner path p: u -> w acting on Af by right multiplication R_p

@@ -7,7 +7,9 @@ that basis) is decided exactly by a cycle search on the automaton of
 relation-free suffix windows, so no length cutoff is ever involved.
 """
 
+from collections import namedtuple
 from enum import Enum
+from functools import cached_property
 
 from .errors import BadRelationError, DisconnectedQuiverError, NotAdmissibleError
 from .quiver import Arrow, Path, Quiver, compose, is_connected
@@ -20,7 +22,7 @@ class Side(Enum):
 
 
 def _path_order(p):  # of relations and of the basis; the source orders trivial paths
-    return (p.length, p.arrows, p.source)
+    return (len(p.arrows), p.arrows, p.source)
 
 
 def _reduce_relations(relations):
@@ -31,6 +33,9 @@ def _reduce_relations(relations):
     return tuple(r for r in unique
                  if not any(r.arrows[i:j] in words for i in range(r.length)
                             for j in range(i + 1, r.length + 1) if j - i < r.length))
+
+
+PathIndex = namedtuple("PathIndex", ["sources", "targets", "blocks", "position", "extensions"])
 
 
 class MonomialAlgebra:
@@ -129,11 +134,35 @@ class MonomialAlgebra:
     def dimension(self):
         return len(self.basis)
 
-    def paths_from(self, v):
-        return [p for p in self.basis if p.source == v]
+    @cached_property
+    def _path_index(self):
+        """The basis as index tables, built on first use: sources[v] and
+        targets[v] list the basis indices of the paths starting and ending
+        at v, blocks[s][t] those of the paths s -> t, all in basis order;
+        position[i] is the place of path i in its block, and extensions[i]
+        maps each arrow that extends path i to a nonzero path to its index."""
+        n = self.quiver.vertex_count
+        sources, targets = {v: [] for v in range(n)}, {v: [] for v in range(n)}
+        blocks = [[[] for _ in range(n)] for _ in range(n)]
+        position, extensions, index = [], [], {}  # index: arrows -> basis index
+        for i, p in enumerate(self.basis):  # sorted by length, so prefixes come first
+            s, t, w = p.source, p.target, p.arrows
+            sources[s].append(i)
+            targets[t].append(i)
+            block = blocks[s][t]
+            position.append(len(block))
+            block.append(i)
+            extensions.append({})
+            if w:  # the basis opens with e_0, ..., e_{n-1}: e_s is basis path s
+                extensions[index[w[:-1]] if len(w) > 1 else s][w[-1]] = i
+                index[w] = i
+        return PathIndex(sources, targets, blocks, position, extensions)
+
+    def paths_from(self, v):  # none from a vertex outside the quiver
+        return [self.basis[i] for i in self._path_index.sources.get(v, ())]
 
     def paths_into(self, v):
-        return [p for p in self.basis if p.target == v]
+        return [self.basis[i] for i in self._path_index.targets.get(v, ())]
 
     def multiply(self, p, q):
         """Product of two basis paths: their concatenation when nonzero,
@@ -147,13 +176,8 @@ class MonomialAlgebra:
 
     def extend_by_arrow(self, p, arrow_idx):
         """p * (arrow) when nonzero, else None; p must be a basis path."""
-        a = self.quiver.arrows[arrow_idx]
-        if p.target != a.source:
-            return None
-        ext = p.arrows + (arrow_idx,)
-        if not self._window_ok(ext):
-            return None
-        return Path(p.source, a.target, ext)
+        i = self._path_index.extensions[self._basis_index[p]].get(arrow_idx)
+        return None if i is None else self.basis[i]
 
     def opposite(self):
         """The opposite algebra: arrows and relations reversed.
@@ -173,16 +197,13 @@ class MonomialAlgebra:
             self._opposite = opp
         return self._opposite
 
-    def _is_maximal(self, p):
-        return all(self.extend_by_arrow(p, a) is None
-                   for a in self.quiver.out_arrows[p.target])
-
     def socle_criterion(self, v, side=Side.RIGHT):
         """True when exactly one maximal nonzero path starts at v (RIGHT) or
         ends at v (LEFT); equivalently the corresponding indecomposable
         projective has simple socle."""
-        if side is Side.RIGHT:
-            return sum(p.source == v and self._is_maximal(p) for p in self.basis) == 1
+        if side is Side.RIGHT:  # a maximal path has no nonzero extension
+            index = self._path_index
+            return sum(not index.extensions[i] for i in index.sources.get(v, ())) == 1
         if side is Side.LEFT:
             return self.opposite().socle_criterion(v, Side.RIGHT)
         raise ValueError("socle_criterion takes RIGHT or LEFT")

@@ -141,6 +141,12 @@ class Quiver:
         return best, tuple(relabelings)
 
     @cached_property
+    def relabeled_words(self):
+        """Arrow word -> its images under the :attr:`canonical_labelings`
+        relabelings, filled by ``enumeration.canonical_form``."""
+        return {}
+
+    @cached_property
     def _connected(self):
         # n vertices need n - 1 arrows; a huge count fails before any per-vertex table
         return len(self.arrows) >= self.vertex_count - 1 and len(connected_components(self)) == 1

@@ -113,15 +113,6 @@ class Morphism:
 # -- standard modules --------------------------------------------------------
 
 
-def _paths_by_target(algebra, v):
-    """Basis paths starting at v, grouped per target vertex in basis order."""
-    by_tgt = [[] for _ in range(algebra.quiver.vertex_count)]
-    for p in algebra.basis:
-        if p.source == v:
-            by_tgt[p.target].append(p)
-    return by_tgt
-
-
 def simple_module(algebra, v):
     key = ("simple", v)
     if key not in algebra._cache:
@@ -138,17 +129,13 @@ def projective_module(algebra, v):
     right concatenation."""
     key = ("proj", v)
     if key not in algebra._cache:
-        by_tgt = _paths_by_target(algebra, v)
-        index = [{p: i for i, p in enumerate(ps)} for ps in by_tgt]
-        dims = [len(ps) for ps in by_tgt]
-        maps = []
-        for ai, a in enumerate(algebra.quiver.arrows):
-            m = linalg.zeros(dims[a.source], dims[a.target])
-            for r, p in enumerate(by_tgt[a.source]):
-                ext = algebra.extend_by_arrow(p, ai)
-                if ext is not None:
-                    m[r][index[a.target][ext]] = 1
-            maps.append(m)
+        index = algebra._path_index
+        dims = [len(block) for block in index.blocks[v]]
+        maps = [linalg.zeros(dims[a.source], dims[a.target]) for a in algebra.quiver.arrows]
+        for block in index.blocks[v]:
+            for r, i in enumerate(block):
+                for a, j in index.extensions[i].items():
+                    maps[a][r][index.position[j]] = 1
         algebra._cache[key] = Representation(algebra, dims, maps, validate=False)
     return algebra._cache[key]
 
@@ -180,16 +167,9 @@ def direct_sum(reps):
     dims = [sum(r.dims[v] for r in reps) for v in range(n)]
     maps = []
     for ai, a in enumerate(algebra.quiver.arrows):
-        m = linalg.zeros(dims[a.source], dims[a.target])
-        roff = 0
-        coff = 0
+        m, coff = [], 0  # the blocks r.maps[ai] down the diagonal
         for r in reps:
-            block = r.maps[ai]
-            for i, row in enumerate(block):
-                for j, x in enumerate(row):
-                    if x:
-                        m[roff + i][coff + j] = x
-            roff += r.dims[a.source]
+            m += [[0] * coff + row + [0] * (dims[a.target] - coff - len(row)) for row in r.maps[ai]]
             coff += r.dims[a.target]
         maps.append(m)
     return Representation(algebra, dims, maps, validate=False)
@@ -318,14 +298,15 @@ def projective_cover(rep):
     if not generators:
         raise ValueError("nonzero module with zero top; the input is corrupt")
     cover = direct_sum([projective_module(algebra, v) for v, _ in generators])
+    index = algebra._path_index
     blocks = []  # per generator, the images of the paths out of its vertex by target
     for v, gen in generators:
-        vec = {(): list(gen)}
-        for p in algebra.paths_from(v):  # sorted by length, so prefixes come first
-            if p.arrows:
-                vec[p.arrows] = linalg.mat_mul([vec[p.arrows[:-1]]], rep.maps[p.arrows[-1]],
-                                               bcols=rep.dims[p.target])[0]
-        blocks.append([[vec[p.arrows] for p in ps] for ps in _paths_by_target(algebra, v)])
+        vec = {v: list(gen)}  # e_v is basis path v
+        for i in index.sources[v]:  # in basis order, so prefixes come first
+            for a, j in index.extensions[i].items():
+                vec[j] = linalg.mat_mul([vec[i]], rep.maps[a],
+                                        bcols=rep.dims[q.arrows[a].target])[0]
+        blocks.append([[vec[i] for i in block] for block in index.blocks[v]])
     vertex_maps = [[row for block in blocks for row in block[w]] for w in range(q.vertex_count)]
     proj_morphism = Morphism(cover, rep, vertex_maps, validate=False)
     return cover, proj_morphism, tuple(v for v, _ in generators)
@@ -353,10 +334,10 @@ def injective_envelope(rep):
 def envelope_dim(algebra, socle_dims):
     """Dimension of the injective envelope of a module with the given socle
     dimension vector: one I_w per socle basis vector at w, where dim I_w is
-    that of the opposite projective it dualises."""
-    opp = algebra.opposite()
-    return sum(d * projective_module(opp, w).total_dim
-               for w, d in enumerate(socle_dims) if d)
+    that of the opposite projective it dualises, the number of basis paths
+    ending at w."""
+    targets = algebra._path_index.targets
+    return sum(d * len(targets[w]) for w, d in enumerate(socle_dims))
 
 
 HomologicalStatus = namedtuple("HomologicalStatus", ["is_projective", "is_injective"])

@@ -124,11 +124,11 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
     opp = algebra.opposite()
     n = algebra.quiver.vertex_count
     socle_agree = True
+    qf2 = []  # RIGHT on A, then RIGHT on the opposite, which is LEFT on A
     for work in (algebra, opp):
-        for v in range(n):
-            soc_dim = sum(projective_socle_dims(work, v))
-            if work.socle_criterion(v, Side.RIGHT) != (soc_dim == 1):
-                socle_agree = False
+        criteria = [work.socle_criterion(v, Side.RIGHT) for v in range(n)]
+        qf2.append(all(criteria))
+        socle_agree &= criteria == [sum(projective_socle_dims(work, v)) == 1 for v in range(n)]
     pi_right = minimal_faithful_proj_inj(algebra, Side.RIGHT)
     pi_left = minimal_faithful_proj_inj(algebra, Side.LEFT)
     dc = double_centralizer_check(algebra)
@@ -147,8 +147,8 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
         "shape": shape_classify(algebra.quiver).value,
         "domdim": _domdim_dict(dominant_dimension(algebra, cutoff)),
         "domdim_op": _domdim_dict(dominant_dimension(opp, cutoff)),
-        "qf2_right": algebra.is_qf2(Side.RIGHT),
-        "qf2_left": algebra.is_qf2(Side.LEFT),
+        "qf2_right": qf2[0],
+        "qf2_left": qf2[1],
         "socle_agree": socle_agree,
         "pi_right": list(pi_right) if pi_right is not None else None,
         "pi_left": list(pi_left) if pi_left is not None else None,

@@ -4,16 +4,23 @@
 algebra, minimized over every vertex permutation of its own presentation;
 ``reduce_relations`` is the former pairwise relation reduction;
 ``opposite`` is the former opposite algebra, built from scratch over the
-reversed presentation.  The tests compare
+reversed presentation; ``paths_from``, ``paths_into``, ``extend_by_arrow``
+and ``projective_module`` are the former Path-level basis scans, and
+``connected_quivers`` the former quiver search, which took the least
+sorted image over every vertex permutation.  The tests compare
 ``quivalg.enumeration.canonical_form`` (relabelings computed once per
-quiver), ``quivalg.monomial._reduce_relations`` (factor lookups) and
-``MonomialAlgebra.opposite`` (the basis reversed) against them.
+quiver), ``quivalg.monomial._reduce_relations`` (factor lookups),
+``MonomialAlgebra.opposite`` (the basis reversed), the readers of the
+per-algebra path index and ``quivalg.enumeration.connected_quivers``
+against them.
 """
 
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
+from quivalg import linalg
 from quivalg.monomial import MonomialAlgebra
-from quivalg.quiver import Arrow, Path, Quiver
+from quivalg.quiver import Arrow, Path, Quiver, compose, is_connected
+from quivalg.representations import Representation
 
 
 def canonical_form(algebra):
@@ -81,3 +88,60 @@ def opposite(algebra):
                  tuple(Arrow(a.name, a.target, a.source) for a in quiver.arrows))
     return MonomialAlgebra(rev, tuple(Path(r.target, r.source, r.reversed_key())
                                       for r in algebra.relations))
+
+
+def paths_from(algebra, v):
+    return [p for p in algebra.basis if p.source == v]
+
+
+def paths_into(algebra, v):
+    return [p for p in algebra.basis if p.target == v]
+
+
+def extend_by_arrow(algebra, p, arrow):
+    """p * arrow when the composite lies in the basis, else None."""
+    c = compose(p, algebra.quiver.path_from_indices((arrow,)))
+    return c if c in algebra._basis_index else None
+
+
+def projective_module(algebra, v):
+    """e_v A with every arrow map filled in by extending each basis path."""
+    by_tgt = [[] for _ in range(algebra.quiver.vertex_count)]
+    for p in algebra.basis:
+        if p.source == v:
+            by_tgt[p.target].append(p)
+    index = [{p: i for i, p in enumerate(ps)} for ps in by_tgt]
+    dims = [len(ps) for ps in by_tgt]
+    maps = []
+    for ai, a in enumerate(algebra.quiver.arrows):
+        m = linalg.zeros(dims[a.source], dims[a.target])
+        for r, p in enumerate(by_tgt[a.source]):
+            ext = extend_by_arrow(algebra, p, ai)
+            if ext is not None:
+                m[r][index[a.target][ext]] = 1
+        maps.append(m)
+    return Representation(algebra, dims, maps, validate=False)
+
+
+def connected_quivers(max_vertices, max_arrows):
+    """Connected quivers up to isomorphism: an arrow multiset is kept when
+    it equals the least sorted image over all vertex permutations."""
+    out = []
+    for n in range(1, max_vertices + 1):
+        pairs = [(s, t) for s in range(n) for t in range(n)]
+        perms = list(permutations(range(n)))
+        seen = set()
+        for m in range(0, max_arrows + 1):
+            if n > 1 and m < n - 1:
+                continue
+            for combo in combinations_with_replacement(pairs, m):
+                canon = min(tuple(sorted((p[s], p[t]) for s, t in combo)) for p in perms)
+                if combo != canon or canon in seen:
+                    continue
+                quiver = Quiver(n, tuple(Arrow(f"a{i}", s, t)
+                                         for i, (s, t) in enumerate(combo)))
+                if not is_connected(quiver):
+                    continue
+                seen.add(canon)
+                out.append(quiver)
+    return out

@@ -41,6 +41,13 @@ def test_connected_quiver_enumeration():
     assert len(quivers) == 3 + 1 + 4
 
 
+@pytest.mark.parametrize("max_vertices", [1, 2, 3, 4])
+def test_connected_quivers_match_the_former_search(max_vertices):
+    for max_arrows in range(6):
+        assert (connected_quivers(max_vertices, max_arrows)
+                == oracle.connected_quivers(max_vertices, max_arrows))
+
+
 def brute_force_relation_sets(quiver, max_len):
     """Oracle: all factor-antichains whose ideal is admissible, by scanning
     every subset of candidate paths and testing through the builder."""

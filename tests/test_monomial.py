@@ -112,17 +112,24 @@ def test_opposite_is_involution(branching_algebra, a2, dual_numbers):
         assert a.opposite().opposite() == a
 
 
-def test_opposite_matches_the_full_construction():
-    """The reversed basis equals what the search and enumeration find over
-    the reversed presentation, in the same order and with the same index and
-    products, over two small corpora, the paper example and Kupisch series."""
+@pytest.fixture(scope="module")
+def presentations():
+    """Three small corpora, the paper example and Kupisch series of up to
+    14 vertices."""
     series = ["linear:10,9,8,7,6,5,4,3,2,1", "cyclic:4,4,4,5,5,4,3,3",
               "linear:" + ",".join(["3"] * 12 + ["2", "1"]), "cyclic:" + ",".join(["2"] * 14)]
-    algebras = [a for bounds in (CorpusBounds(3, 3, 2), CorpusBounds(2, 2, 3))
+    algebras = [a for bounds in (CorpusBounds(3, 3, 2), CorpusBounds(2, 2, 3), CorpusBounds(1, 2, 3))
                 for a in enumerate_monomial_algebras(bounds)]
     algebras += [parse_algebra(paper_example_text())] + [kupisch_to_algebra(parse_kupisch(s)) for s in series]
     assert max(a.quiver.vertex_count for a in algebras) == 14
-    for a in algebras:
+    return algebras
+
+
+def test_opposite_matches_the_full_construction(presentations):
+    """The reversed basis equals what the search and enumeration find over
+    the reversed presentation, in the same order and with the same index and
+    products, over small corpora, the paper example and Kupisch series."""
+    for a in presentations:
         opp, expected = a.opposite(), oracle.opposite(a)
         assert opp.quiver == expected.quiver
         assert opp.basis == expected.basis
@@ -132,6 +139,39 @@ def test_opposite_matches_the_full_construction():
             for arrow in range(len(opp.quiver.arrows)):
                 assert opp.extend_by_arrow(p, arrow) == expected.extend_by_arrow(p, arrow)
         assert opp.opposite() is a
+
+
+def test_path_index_matches_the_basis_scans(presentations):
+    """Every reader of the path index against the Path-level scans, for
+    every vertex and every (basis path, arrow), on A and on its opposite."""
+    for a in presentations:
+        for work in (a, a.opposite()):
+            q = work.quiver
+            for v in range(q.vertex_count):
+                assert work.paths_from(v) == oracle.paths_from(work, v)
+                assert work.paths_into(v) == oracle.paths_into(work, v)
+                maximal = [p for p in oracle.paths_from(work, v)
+                           if all(oracle.extend_by_arrow(work, p, b) is None
+                                  for b in range(len(q.arrows)))]
+                assert work.socle_criterion(v, Side.RIGHT) is (len(maximal) == 1)
+            for p in work.basis:
+                for arrow in range(len(q.arrows)):
+                    assert work.extend_by_arrow(p, arrow) == oracle.extend_by_arrow(work, p, arrow)
+
+
+def test_projective_modules_match_the_path_oracle(presentations):
+    for a in presentations:
+        for work in (a, a.opposite()):
+            for v in range(work.quiver.vertex_count):
+                built, expected = projective_module(work, v), oracle.projective_module(work, v)
+                assert built.dims == expected.dims
+                assert built.maps == expected.maps
+
+
+def test_paths_at_a_vertex_outside_the_quiver(branching_algebra):
+    for v in (-1, 5):
+        assert branching_algebra.paths_from(v) == branching_algebra.paths_into(v) == []
+        assert not branching_algebra.socle_criterion(v, Side.RIGHT)
 
 
 def test_self_opposite_loop():
