@@ -38,9 +38,7 @@ from .homological import (
 from .nakayama import (
     KupischSeries,
     algebra_to_kupisch,
-    allowed_summands,
     enumerate_kupisch,
-    gen_cogen_candidates,
     is_selfinjective_kupisch,
     kupisch_to_algebra,
     parse_kupisch,
@@ -80,7 +78,6 @@ __all__ = [
     "UniserialLengthError",
     "ZeroModuleError",
     "algebra_to_kupisch",
-    "allowed_summands",
     "base_algebra",
     "build",
     "canonical_form",
@@ -91,7 +88,6 @@ __all__ = [
     "enumerate_kupisch",
     "enumerate_monomial_algebras",
     "gabriel_quiver",
-    "gen_cogen_candidates",
     "injective_coresolution",
     "is_connected",
     "is_nakayama_algebra",

@@ -52,9 +52,6 @@ class BasicAlgebra:
     def dimension(self):
         return len(self.tags)
 
-    def block(self, i, j):
-        return [x for x in range(self.dimension) if self.tags[x] == (i, j)]
-
     def right_block(self, i):
         """Basis indices of the right projective e_i C."""
         return [x for x in range(self.dimension) if self.tags[x][0] == i]
@@ -62,9 +59,6 @@ class BasicAlgebra:
     def left_block(self, i):
         """Basis indices of the left projective C e_i."""
         return [x for x in range(self.dimension) if self.tags[x][1] == i]
-
-    def product(self, x, y):
-        return self.products[x][y]
 
     def _gabriel(self):
         """Gabriel quiver plus radical generators (a basis of rad mod rad^2)."""
@@ -167,8 +161,7 @@ class EndomorphismContext:
             rep = self.universe[a]
             data = []
             for v in range(rep.algebra.quiver.vertex_count):
-                dim, proj, sect = linalg.quotient_maps(linalg.sparse(radical_rows(rep, v)),
-                                                       rep.dims[v])
+                dim, proj, sect = linalg.quotient_maps(radical_rows(rep, v), rep.dims[v])
                 if dim:
                     data.append((v, dim, proj, sect))
             self._top_data[a] = data
@@ -179,14 +172,10 @@ class EndomorphismContext:
         raises NotLocal when the top action is not scalar."""
         scalar = None
         for v, dim, proj, sect in self._scalar_data(a):
-            ind = linalg.mat_mul(linalg.mat_mul(sect, f.vertex_maps[v],
-                                                bcols=f.target.dims[v]),
-                                 proj, bcols=dim)
-            for r in range(dim):
-                for c in range(dim):
-                    if r != c and ind[r][c] != 0:
-                        raise NotLocalError("endomorphism ring is not local")
-            diag = {Fraction(ind[r][r]) for r in range(dim)}
+            ind = linalg.mat_mul(linalg.mat_mul(sect, f.vertex_maps[v]), proj)
+            if any(c != r for r, row in enumerate(ind) for c in row):
+                raise NotLocalError("endomorphism ring is not local")
+            diag = {Fraction(row.get(r, 0)) for r, row in enumerate(ind)}
             if len(diag) > 1:
                 raise NotLocalError("endomorphism ring is not local")
             d = diag.pop()
@@ -199,13 +188,13 @@ class EndomorphismContext:
     def _normalized_end(self, a):
         rep = self.universe[a]
         homs = hom_space(rep, rep)
-        ident = Morphism(rep, rep, [linalg.identity(d) for d in rep.dims], validate=False)
+        ident = Morphism(rep, rep, [linalg.identity(d) for d in rep.dims])
         candidates = []
         for f in homs:
             c = self._scalar_part(a, f)
             maps = [linalg.mat_sub(f.vertex_maps[v], linalg.scalar_mul(c, linalg.identity(d)))
                     for v, d in enumerate(rep.dims)]
-            r = Morphism(rep, rep, maps, validate=False)
+            r = Morphism(rep, rep, maps)
             if self._is_zero_morphism(r):
                 continue
             self._check_nilpotent(r)
@@ -234,13 +223,12 @@ class EndomorphismContext:
         """Sparse vector of the vertex maps of f, each row-major, one after
         another."""
         vec = {}
-        col = 0
-        for m in f.vertex_maps:
+        offset = 0
+        for m, ncols in zip(f.vertex_maps, f.target.dims):
             for row in m:
-                for x in row:
-                    if x:
-                        vec[col] = x
-                    col += 1
+                for c, x in row.items():
+                    vec[offset + c] = x
+                offset += ncols
         return vec
 
     def _hom_rref(self, a, b):

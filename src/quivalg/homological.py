@@ -201,13 +201,13 @@ def double_centralizer_check(algebra):
     arrows = []
     for p in algebra.basis:
         if p.source in vset and p.target in vset and not p.is_trivial:
-            rmat = linalg.zeros(len(blocks[p.source]), len(blocks[p.target]))
+            rmat = linalg.zeros(len(blocks[p.source]))
             for i, q in enumerate(blocks[p.source]):
                 prod = algebra.multiply(q, p)
                 if prod is not None:
                     rmat[i][pos[p.target][prod]] = 1
             arrows.append((p.source, p.target, rmat, rmat))
-    rows, _, width = commutation_equations(
+    rows, width = commutation_equations(
         [(v, len(blocks[v]), len(blocks[v])) for v in verts], arrows)
     dim_comm = width - linalg.rank(rows, width)
     return DoubleCentralizerResult(dim_comm == algebra.dimension,

@@ -1,16 +1,20 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
-Dense matrices are plain lists of rows with ``int`` or ``Fraction``
-entries; all arithmetic is exact.  An r x c matrix with r = 0 is the empty
-list and a matrix with c = 0 has empty rows, so functions that cannot
-infer a missing dimension take it explicitly.  Representation maps are
-dense.
+A matrix is a list of sparse rows, ``{column: value}`` dicts with ``int``
+or ``Fraction`` values and no stored zero; it is the only matrix format in
+the package.  An r x c matrix has r rows and column keys below c; c is not
+stored, so functions that need it take it explicitly.  All arithmetic is
+exact.
 
-Elimination works on sparse rows, ``{column: value}`` dicts, through the
-single kernel :func:`rref`.  Ranks, right kernels, quotient maps and
-coordinates over given rows are all read off its result.  Zero columns are
-never touched, and integers stay integers until a pivot division needs a
-``Fraction``.
+Elimination goes through the single kernel :func:`rref`.  Ranks, right
+kernels, quotient maps and coordinates over given rows are all read off its
+result.  Zero columns are never touched, and integers stay integers until a
+pivot division needs a ``Fraction``.
+
+Rows are shared, never copied: once a row is stored in a matrix nothing
+mutates it.  :func:`rref`, :func:`coordinates`, :func:`mat_mul` and
+:func:`mat_sub` each edit only rows they made themselves, so a matrix may
+be handed to a representation or morphism as built.
 
 Vectors are treated as rows throughout the package: a linear map V -> W of
 dimensions d_V x d_W is a d_V x d_W matrix acting by ``v @ A``.
@@ -19,67 +23,48 @@ dimensions d_V x d_W is a d_V x d_W matrix acting by ``v @ A``.
 from fractions import Fraction
 
 
-def zeros(nrows, ncols):
-    return [[0] * ncols for _ in range(nrows)]
+def zeros(nrows):
+    return [{} for _ in range(nrows)]
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [{i: 1} for i in range(n)]
 
 
-def transpose(mat, ncols=None):
-    if mat:
-        ncols = len(mat[0])
-    if ncols is None:
-        raise ValueError("cannot infer column count of an empty matrix")
-    return [[row[j] for row in mat] for j in range(ncols)]
+def transpose(mat, ncols):
+    out = zeros(ncols)
+    for r, row in enumerate(mat):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
 
 
-def mat_mul(a, b, bcols=None):
-    """Product of an r x k matrix with a k x c matrix.
-
-    ``bcols`` is required when b has no rows (k = 0) so the zero result
-    still has a well-defined width.
-    """
-    if b:
-        bcols = len(b[0])
-    if bcols is None:
-        raise ValueError("bcols required when the right factor has no rows")
+def mat_mul(a, b):
+    """Product of an r x k matrix with a k x c matrix."""
     out = []
     for row in a:
-        acc = [0] * bcols
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
+        acc = {}
+        for k, x in row.items():
+            _add(acc, x, b[k])
         out.append(acc)
     return out
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        _add(row, -1, rb)
+        out.append(row)
+    return out
 
 
 def scalar_mul(c, a):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_copy(a):
-    return [list(row) for row in a]
+    return [{j: c * x for j, x in row.items()} if c else {} for row in a]
 
 
 def is_zero_matrix(a):
-    return all(not x for row in a for x in row)
-
-
-def sparse(mat):
-    """The rows of a dense matrix as sparse rows."""
-    return [{j: x for j, x in enumerate(row) if x} for row in mat]
-
-
-def dense(vec, ncols):
-    return [vec.get(j, 0) for j in range(ncols)]
+    return not any(a)
 
 
 def _add(row, f, src):
@@ -145,21 +130,13 @@ def nullspace(rows, ncols):
 def quotient_maps(rows, ncols):
     """Projection/section pair for the quotient of K^ncols by a row span.
 
-    Returns ``(dim, proj, sect)`` as dense matrices, where proj is
-    ncols x dim with the kernel basis as its columns, sect is dim x ncols
-    and picks the free columns, ``sect @ proj`` is the identity on the
-    quotient, and two vectors have equal images under proj iff they differ
-    by an element of the span.
+    Returns ``(dim, proj, sect)``, where proj is ncols x dim with the kernel
+    basis as its columns, sect is dim x ncols and picks the free columns,
+    ``sect @ proj`` is the identity on the quotient, and two vectors have
+    equal images under proj iff they differ by an element of the span.
     """
     kernel = _kernel(rref(rows, ncols), ncols)
-    dim = len(kernel)
-    proj = zeros(ncols, dim)
-    sect = zeros(dim, ncols)
-    for j, (f, vec) in enumerate(kernel.items()):
-        sect[j][f] = 1
-        for c, x in vec.items():
-            proj[c][j] = x
-    return dim, proj, sect
+    return len(kernel), transpose(list(kernel.values()), ncols), [{f: 1} for f in kernel]
 
 
 def with_markers(rows, ncols):

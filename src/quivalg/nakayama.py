@@ -140,10 +140,11 @@ def uniserial_module(algebra, top_vertex, length):
         for i, k in enumerate(coords[v]):
             pos[k] = i
     dims = [len(c) for c in coords]
-    maps = [linalg.zeros(dims[a.source], dims[a.target]) for a in quiver.arrows]
+    maps = [linalg.zeros(dims[a.source]) for a in quiver.arrows]
     for k, a in enumerate(steps):
         maps[a][pos[k]][pos[k + 1]] = 1
-    rep = Representation(algebra, dims, maps, validate=True)
+    rep = Representation(algebra, dims, maps)
+    rep._check_relations()
     algebra._cache[key] = rep
     return rep
 
@@ -172,11 +173,6 @@ def allowed_summand_ids(algebra):
         if l >= 2:
             ids.add((t, l - 1))
     return tuple(sorted(ids))
-
-
-def allowed_summands(algebra):
-    """The distinct indecomposable modules in add(B + D(B) + D(B)/soc D(B))."""
-    return [uniserial_module(algebra, t, l) for t, l in allowed_summand_ids(algebra)]
 
 
 def mandatory_summand_ids(algebra):
@@ -212,14 +208,6 @@ def gen_cogen_candidate_ids(algebra, full_universe=False):
         out.append(tuple(sorted(set(mandatory) | set(chosen))))
     out.sort()
     return out
-
-
-def gen_cogen_candidates(algebra, full_universe=False):
-    """Same as :func:`gen_cogen_candidate_ids` but returning module lists."""
-    if algebra_to_kupisch(algebra) is None:
-        raise NotNakayamaError("generator-cogenerators are enumerated over Nakayama algebras")
-    return [tuple(uniserial_module(algebra, t, l) for t, l in ids)
-            for ids in gen_cogen_candidate_ids(algebra, full_universe)]
 
 
 def enumerate_kupisch(max_n, max_c):

@@ -1,13 +1,16 @@
 """Right modules over a monomial algebra, as quiver representations.
 
 A representation assigns to every vertex a rational vector space (recorded
-by its dimension) and to every arrow an exact matrix.  Vectors are rows and
-an arrow u -> w acts by right multiplication, so the matrix of a path is
-the product of its arrow matrices read left to right.
+by its dimension) and to every arrow an exact matrix of sparse rows (see
+:mod:`quivalg.linalg`).  Vectors are rows and an arrow u -> w acts by right
+multiplication, so the matrix of a path is the product of its arrow
+matrices read left to right.
 
 A morphism is a family of per-vertex matrices commuting with every arrow
-map.  Socles, tops, covers, envelopes and hom spaces are all computed by
-exact Gaussian elimination; no floating point is involved anywhere.
+map.  Both keep the matrices they are given, without copying, after a
+shape check.  Socles, tops, covers, envelopes and hom spaces are all
+computed by exact Gaussian elimination; no floating point is involved
+anywhere.
 """
 
 from collections import namedtuple
@@ -16,25 +19,25 @@ from . import linalg
 from .errors import ZeroModuleError
 
 
+def _check_shape(mat, nrows, ncols, what):
+    if len(mat) != nrows or any(c >= ncols for row in mat for c in row):
+        raise ValueError(f"{what} has the wrong shape")
+
+
 class Representation:
-    def __init__(self, algebra, dims, maps, validate=True):
+    def __init__(self, algebra, dims, maps):
         self.algebra = algebra
         self.dims = tuple(dims)
-        self.maps = [linalg.mat_copy(m) for m in maps]
+        self.maps = maps
         q = algebra.quiver
-        if len(self.dims) != q.vertex_count or len(self.maps) != len(q.arrows):
+        if len(self.dims) != q.vertex_count or len(maps) != len(q.arrows):
             raise ValueError("dimension vector or map list has the wrong length")
-        for i, a in enumerate(q.arrows):
-            m = self.maps[i]
-            if len(m) != self.dims[a.source] or any(len(r) != self.dims[a.target] for r in m):
-                raise ValueError(f"map for arrow {a.name!r} has the wrong shape")
-        if validate:
-            self._check_relations()
+        for a, m in zip(q.arrows, maps):
+            _check_shape(m, self.dims[a.source], self.dims[a.target], f"map for arrow {a.name!r}")
 
     def _check_relations(self):
         for rel in self.algebra.relations:
-            m = self.path_action(rel)
-            if not linalg.is_zero_matrix(m):
+            if not linalg.is_zero_matrix(self.path_action(rel)):
                 raise ValueError(f"relation {rel} does not act by zero")
 
     @property
@@ -50,8 +53,7 @@ class Representation:
         its target space."""
         m = linalg.identity(self.dims[path.source])
         for a in path.arrows:
-            tgt = self.algebra.quiver.arrows[a].target
-            m = linalg.mat_mul(m, self.maps[a], bcols=self.dims[tgt])
+            m = linalg.mat_mul(m, self.maps[a])
         return m
 
     def __eq__(self, other):
@@ -65,23 +67,18 @@ class Representation:
 
 
 class Morphism:
-    def __init__(self, source, target, vertex_maps, validate=True):
+    def __init__(self, source, target, vertex_maps):
         self.source = source
         self.target = target
-        self.vertex_maps = [linalg.mat_copy(m) for m in vertex_maps]
-        for v, m in enumerate(self.vertex_maps):
-            if len(m) != source.dims[v] or any(len(r) != target.dims[v] for r in m):
-                raise ValueError(f"vertex map at {v} has the wrong shape")
-        if validate:
-            self._check_commutes()
+        self.vertex_maps = vertex_maps
+        for v, m in enumerate(vertex_maps):
+            _check_shape(m, source.dims[v], target.dims[v], f"vertex map at {v}")
 
     def _check_commutes(self):
         q = self.source.algebra.quiver
         for i, a in enumerate(q.arrows):
-            left = linalg.mat_mul(self.source.maps[i], self.vertex_maps[a.target],
-                                  bcols=self.target.dims[a.target])
-            right = linalg.mat_mul(self.vertex_maps[a.source], self.target.maps[i],
-                                   bcols=self.target.dims[a.target])
+            left = linalg.mat_mul(self.source.maps[i], self.vertex_maps[a.target])
+            right = linalg.mat_mul(self.vertex_maps[a.source], self.target.maps[i])
             if left != right:
                 raise ValueError(f"maps do not commute with arrow {a.name!r}")
 
@@ -89,12 +86,11 @@ class Morphism:
         """Composite morphism: self first, then other."""
         if other.source is not self.target and other.source != self.target:
             raise ValueError("morphisms are not composable")
-        maps = [linalg.mat_mul(f, g, bcols=other.target.dims[v])
-                for v, (f, g) in enumerate(zip(self.vertex_maps, other.vertex_maps))]
-        return Morphism(self.source, other.target, maps, validate=False)
+        maps = [linalg.mat_mul(f, g) for f, g in zip(self.vertex_maps, other.vertex_maps)]
+        return Morphism(self.source, other.target, maps)
 
     def _has_ranks(self, dims):
-        return all(linalg.rank(linalg.sparse(m), self.target.dims[v]) == dims[v]
+        return all(linalg.rank(m, self.target.dims[v]) == dims[v]
                    for v, m in enumerate(self.vertex_maps))
 
     def is_injective(self):
@@ -118,9 +114,8 @@ def simple_module(algebra, v):
     if key not in algebra._cache:
         n = algebra.quiver.vertex_count
         dims = [1 if w == v else 0 for w in range(n)]
-        maps = [linalg.zeros(dims[a.source], dims[a.target])
-                for a in algebra.quiver.arrows]
-        algebra._cache[key] = Representation(algebra, dims, maps, validate=False)
+        maps = [linalg.zeros(dims[a.source]) for a in algebra.quiver.arrows]
+        algebra._cache[key] = Representation(algebra, dims, maps)
     return algebra._cache[key]
 
 
@@ -131,22 +126,21 @@ def projective_module(algebra, v):
     if key not in algebra._cache:
         index = algebra._path_index
         dims = [len(block) for block in index.blocks[v]]
-        maps = [linalg.zeros(dims[a.source], dims[a.target]) for a in algebra.quiver.arrows]
+        maps = [linalg.zeros(dims[a.source]) for a in algebra.quiver.arrows]
         for block in index.blocks[v]:
             for r, i in enumerate(block):
                 for a, j in index.extensions[i].items():
                     maps[a][r][index.position[j]] = 1
-        algebra._cache[key] = Representation(algebra, dims, maps, validate=False)
+        algebra._cache[key] = Representation(algebra, dims, maps)
     return algebra._cache[key]
 
 
 def dual_representation(rep):
     """The dual module over the opposite algebra: transposed arrow maps."""
     opp = rep.algebra.opposite()
-    maps = []
-    for i, a in enumerate(rep.algebra.quiver.arrows):
-        maps.append(linalg.transpose(rep.maps[i], rep.dims[a.target]))
-    return Representation(opp, rep.dims, maps, validate=False)
+    maps = [linalg.transpose(m, rep.dims[a.target])
+            for a, m in zip(rep.algebra.quiver.arrows, rep.maps)]
+    return Representation(opp, rep.dims, maps)
 
 
 def injective_module(algebra, v):
@@ -169,10 +163,10 @@ def direct_sum(reps):
     for ai, a in enumerate(algebra.quiver.arrows):
         m, coff = [], 0  # the blocks r.maps[ai] down the diagonal
         for r in reps:
-            m += [[0] * coff + row + [0] * (dims[a.target] - coff - len(row)) for row in r.maps[ai]]
+            m += [{coff + c: x for c, x in row.items()} for row in r.maps[ai]]
             coff += r.dims[a.target]
         maps.append(m)
-    return Representation(algebra, dims, maps, validate=False)
+    return Representation(algebra, dims, maps)
 
 
 def regular_module(algebra):
@@ -187,7 +181,7 @@ def regular_module(algebra):
 
 
 def radical_rows(rep, v):
-    """Dense rows spanning rad M at v: the images of the arrows into v."""
+    """Rows spanning rad M at v: the images of the arrows into v."""
     return [row for a in rep.algebra.quiver.in_arrows[v] for row in rep.maps[a]]
 
 
@@ -200,14 +194,8 @@ def _socle_bases(rep):
         if not rep.dims[v]:  # a zero space needs no elimination
             continue
         # x M_a = 0 is one equation per column of M_a
-        equations = []
-        for a in q.out_arrows[v]:
-            columns = [{} for _ in range(rep.dims[q.arrows[a].target])]
-            for r, row in enumerate(rep.maps[a]):
-                for c, x in enumerate(row):
-                    if x:
-                        columns[c][r] = x
-            equations += columns
+        equations = [eq for a in q.out_arrows[v]
+                     for eq in linalg.transpose(rep.maps[a], rep.dims[q.arrows[a].target])]
         bases[v] = linalg.nullspace(equations, rep.dims[v])
     return bases
 
@@ -215,13 +203,11 @@ def _socle_bases(rep):
 def socle(rep):
     """Largest semisimple submodule; returns (sub, inclusion).  The
     sub-representation has zero arrow maps."""
-    rows_per_vertex = [[linalg.dense(x, d) for x in basis]
-                       for basis, d in zip(_socle_bases(rep), rep.dims)]
-    dims = [len(rows) for rows in rows_per_vertex]
-    maps = [linalg.zeros(dims[a.source], dims[a.target]) for a in rep.algebra.quiver.arrows]
-    sub = Representation(rep.algebra, dims, maps, validate=False)
-    incl = Morphism(sub, rep, rows_per_vertex, validate=False)
-    return sub, incl
+    bases = _socle_bases(rep)
+    dims = [len(basis) for basis in bases]
+    maps = [linalg.zeros(dims[a.source]) for a in rep.algebra.quiver.arrows]
+    sub = Representation(rep.algebra, dims, maps)
+    return sub, Morphism(sub, rep, bases)
 
 
 def projective_socle_dims(algebra, v):
@@ -237,19 +223,17 @@ def radical(rep):
     """The submodule generated by all arrow images; returns (sub, inclusion)."""
     algebra = rep.algebra
     q = algebra.quiver
-    reds = [linalg.rref(linalg.sparse(radical_rows(rep, v)), rep.dims[v])
-            for v in range(q.vertex_count)]
-    basis_rows = [[linalg.dense(row, rep.dims[v]) for row in red.values()]
-                  for v, red in enumerate(reds)]
+    reds = [linalg.rref(radical_rows(rep, v), rep.dims[v]) for v in range(q.vertex_count)]
+    basis_rows = [list(red.values()) for red in reds]
     dims = [len(red) for red in reds]
     maps = []
     for ai, a in enumerate(q.arrows):
-        images = linalg.mat_mul(basis_rows[a.source], rep.maps[ai], bcols=rep.dims[a.target])
+        images = linalg.mat_mul(basis_rows[a.source], rep.maps[ai])
         # coordinates over an RREF basis are the values at its pivots
-        maps.append([[img[p] for p in reds[a.target]] for img in images])
-    sub = Representation(algebra, dims, maps, validate=False)
-    incl = Morphism(sub, rep, basis_rows, validate=False)
-    return sub, incl
+        maps.append([{k: img[p] for k, p in enumerate(reds[a.target]) if p in img}
+                     for img in images])
+    sub = Representation(algebra, dims, maps)
+    return sub, Morphism(sub, rep, basis_rows)
 
 
 def quotient_by(rep, rows_per_vertex):
@@ -258,13 +242,12 @@ def quotient_by(rep, rows_per_vertex):
     q = rep.algebra.quiver
     # a zero space needs no elimination: its quotient is zero
     dims, projs, sects = zip(*(
-        linalg.quotient_maps(linalg.sparse(rows_per_vertex[v]), rep.dims[v])
+        linalg.quotient_maps(rows_per_vertex[v], rep.dims[v])
         if rep.dims[v] else (0, [], []) for v in range(q.vertex_count)))
-    maps = [linalg.mat_mul(linalg.mat_mul(sects[a.source], rep.maps[ai], bcols=rep.dims[a.target]),
-                           projs[a.target], bcols=dims[a.target])
+    maps = [linalg.mat_mul(linalg.mat_mul(sects[a.source], rep.maps[ai]), projs[a.target])
             for ai, a in enumerate(q.arrows)]
-    quot = Representation(rep.algebra, dims, maps, validate=False)
-    return quot, Morphism(rep, quot, projs, validate=False)
+    quot = Representation(rep.algebra, dims, maps)
+    return quot, Morphism(rep, quot, projs)
 
 
 def top(rep):
@@ -293,7 +276,7 @@ def projective_cover(rep):
     generators = []  # (vertex, row vector in M_v lifting a top basis vector)
     for v in range(q.vertex_count):
         if rep.dims[v]:
-            _, _, sect = linalg.quotient_maps(linalg.sparse(radical_rows(rep, v)), rep.dims[v])
+            _, _, sect = linalg.quotient_maps(radical_rows(rep, v), rep.dims[v])
             generators += [(v, row) for row in sect]
     if not generators:
         raise ValueError("nonzero module with zero top; the input is corrupt")
@@ -301,14 +284,13 @@ def projective_cover(rep):
     index = algebra._path_index
     blocks = []  # per generator, the images of the paths out of its vertex by target
     for v, gen in generators:
-        vec = {v: list(gen)}  # e_v is basis path v
+        vec = {v: gen}  # e_v is basis path v
         for i in index.sources[v]:  # in basis order, so prefixes come first
             for a, j in index.extensions[i].items():
-                vec[j] = linalg.mat_mul([vec[i]], rep.maps[a],
-                                        bcols=rep.dims[q.arrows[a].target])[0]
+                vec[j] = linalg.mat_mul([vec[i]], rep.maps[a])[0]
         blocks.append([[vec[i] for i in block] for block in index.blocks[v]])
     vertex_maps = [[row for block in blocks for row in block[w]] for w in range(q.vertex_count)]
-    proj_morphism = Morphism(cover, rep, vertex_maps, validate=False)
+    proj_morphism = Morphism(cover, rep, vertex_maps)
     return cover, proj_morphism, tuple(v for v, _ in generators)
 
 
@@ -327,7 +309,7 @@ def injective_envelope(rep):
     env = dual_representation(cover)
     emb_maps = [linalg.transpose(pr.vertex_maps[v], rep.dims[v])
                 for v in range(rep.algebra.quiver.vertex_count)]
-    emb = Morphism(rep, env, emb_maps, validate=False)
+    emb = Morphism(rep, env, emb_maps)
     return env, emb, vertices
 
 
@@ -368,10 +350,10 @@ def homological_status(rep):
 def commutation_equations(spaces, arrows):
     """Sparse linear equations X_u N_a = M_a X_w in unknown blocks X_v.
 
-    ``spaces`` lists (v, dim M_v, dim N_v) and fixes the layout: X_v is
-    stored row-major from ``offsets[v]``.  ``arrows`` lists (u, w, M_a, N_a)
-    with dense M_a of shape dim M_u x dim M_w and N_a of shape
-    dim N_u x dim N_w.  Returns (rows, offsets, width) without zero rows.
+    ``spaces`` lists (v, dim M_v, dim N_v) and fixes the layout: the X_v
+    are stored row-major one after another, in this order.  ``arrows``
+    lists (u, w, M_a, N_a) with M_a of shape dim M_u x dim M_w and N_a of
+    shape dim N_u x dim N_w.  Returns (rows, width) without zero rows.
     """
     offsets = {}
     ncols = {}
@@ -383,12 +365,11 @@ def commutation_equations(spaces, arrows):
     rows = []
     for u, w, ma, na in arrows:
         ou, ow, nu, nw = offsets[u], offsets[w], ncols[u], ncols[w]
-        na_columns = [[(k, row[c]) for k, row in enumerate(na) if row[c]] for c in range(nw)]
+        na_columns = linalg.transpose(na, nw)
         for r, mrow in enumerate(ma):
-            mrow = [(k, x) for k, x in enumerate(mrow) if x]
-            for c in range(nw):
-                eq = {ow + k * nw + c: x for k, x in mrow}
-                for k, y in na_columns[c]:
+            for c, ncol in enumerate(na_columns):
+                eq = {ow + k * nw + c: x for k, x in mrow.items()}
+                for k, y in ncol.items():
                     col = ou + r * nu + k
                     x = eq.get(col, 0) - y
                     if x:
@@ -397,7 +378,7 @@ def commutation_equations(spaces, arrows):
                         del eq[col]
                 if eq:
                     rows.append(eq)
-    return rows, offsets, width
+    return rows, width
 
 
 def hom_space(m, n):
@@ -406,13 +387,16 @@ def hom_space(m, n):
         raise ValueError("hom_space needs modules over the same algebra")
     q = m.algebra.quiver
     spaces = [(v, m.dims[v], n.dims[v]) for v in range(q.vertex_count)]
-    rows, offsets, width = commutation_equations(
+    rows, width = commutation_equations(
         spaces, [(a.source, a.target, m.maps[i], n.maps[i]) for i, a in enumerate(q.arrows)])
+    cells = [(v, r, c) for v, dm, dn in spaces for r in range(dm) for c in range(dn)]
     morphisms = []
     for vec in linalg.nullspace(rows, width):
-        maps = [[[vec.get(offsets[v] + r * dn + c, 0) for c in range(dn)] for r in range(dm)]
-                for v, dm, dn in spaces]
-        morphisms.append(Morphism(m, n, maps, validate=False))
+        maps = [linalg.zeros(dm) for _, dm, _ in spaces]
+        for col, x in vec.items():
+            v, r, c = cells[col]
+            maps[v][r][c] = x
+        morphisms.append(Morphism(m, n, maps))
     return morphisms
 
 
@@ -423,8 +407,7 @@ def annihilator_dimension(rep):
     actions = {}  # (source, arrows) -> matrix of the path's action
     for p in algebra.basis:  # sorted by length, so prefixes come first
         actions[p.source, p.arrows] = (
-            linalg.mat_mul(actions[p.source, p.arrows[:-1]], rep.maps[p.arrows[-1]],
-                           bcols=rep.dims[p.target])
+            linalg.mat_mul(actions[p.source, p.arrows[:-1]], rep.maps[p.arrows[-1]])
             if p.arrows else linalg.identity(rep.dims[p.source]))
     block_offsets = {}
     width = 0
@@ -438,7 +421,7 @@ def annihilator_dimension(rep):
         off = block_offsets[(p.source, p.target)]
         cols = rep.dims[p.target]
         rows.append({off + i * cols + j: x for i, arow in enumerate(actions[p.source, p.arrows])
-                     for j, x in enumerate(arow) if x})
+                     for j, x in arow.items()})
     return algebra.dimension - linalg.rank(rows, width)
 
 

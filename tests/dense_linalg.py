@@ -1,10 +1,29 @@
-"""Dense Gauss-Jordan elimination, kept as the oracle for ``quivalg.linalg``.
+"""Dense matrices, kept as the oracle for ``quivalg.linalg``.
 
-This is the package's former dense ``rref`` over lists of rows; the tests
-compare every read-off of the sparse kernel against it.
+The package holds every matrix as a list of sparse rows; this module is the
+only place that holds dense ones, plain lists of rows.  ``rref`` is the
+package's former dense Gauss-Jordan elimination and ``mat_mul`` a dense
+product.  The tests compare the sparse kernel's read-offs with ``rref`` and
+the sparse products with ``mat_mul``, converting with ``sparse`` and
+``dense``.
 """
 
 from fractions import Fraction
+
+
+def sparse(mat):
+    """The rows of a dense matrix as sparse rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def dense(vec, ncols):
+    """A sparse row as a dense row of width ncols."""
+    return [vec.get(j, 0) for j in range(ncols)]
+
+
+def mat_mul(a, b, ncols):
+    """Product of an r x k matrix with a k x ncols matrix."""
+    return [[sum(x * brow[j] for x, brow in zip(row, b)) for j in range(ncols)] for row in a]
 
 
 def rref(mat, ncols=None):

@@ -114,13 +114,13 @@ def projective_module(algebra, v):
     dims = [len(ps) for ps in by_tgt]
     maps = []
     for ai, a in enumerate(algebra.quiver.arrows):
-        m = linalg.zeros(dims[a.source], dims[a.target])
+        m = linalg.zeros(dims[a.source])
         for r, p in enumerate(by_tgt[a.source]):
             ext = extend_by_arrow(algebra, p, ai)
             if ext is not None:
                 m[r][index[a.target][ext]] = 1
         maps.append(m)
-    return Representation(algebra, dims, maps, validate=False)
+    return Representation(algebra, dims, maps)
 
 
 def connected_quivers(max_vertices, max_arrows):

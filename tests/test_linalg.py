@@ -42,7 +42,7 @@ def test_rref_known():
 
 
 def test_rank_and_nullspace_known():
-    m = linalg.sparse([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    m = oracle.sparse([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert linalg.rank(m, 3) == 2
     ns = linalg.nullspace(m, 3)
     assert len(ns) == 1
@@ -57,8 +57,11 @@ def test_empty_shapes():
     assert linalg.nullspace([], 0) == []
     assert linalg.nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
     assert linalg.quotient_maps([], 0) == (0, [], [])
-    assert linalg.mat_mul([], [[1]], bcols=1) == []
-    assert linalg.mat_mul([[], []], [], bcols=3) == [[0, 0, 0], [0, 0, 0]]
+    assert linalg.mat_mul([], [{0: 1}]) == []
+    assert linalg.mat_mul([{}, {}], []) == [{}, {}]
+    assert linalg.transpose([], 2) == [{}, {}]
+    assert linalg.transpose([{}, {}], 0) == []
+    assert linalg.mat_sub([], []) == []
     red = linalg.rref(linalg.with_markers([], 3), 3)
     assert linalg.coordinates(red, 3, {}) == {}
     assert linalg.coordinates(red, 3, {1: 2}) is None
@@ -73,7 +76,7 @@ def test_zero_values_are_ignored():
 @given(small_matrices)
 def test_rank_nullity(case):
     m, cols = case
-    rows = linalg.sparse(m)
+    rows = oracle.sparse(m)
     assert linalg.rank(rows, cols) + len(linalg.nullspace(rows, cols)) == cols
 
 
@@ -81,7 +84,7 @@ def test_rank_nullity(case):
 @given(any_matrices)
 def test_nullspace_vectors_lie_in_kernel(case):
     m, cols = case
-    for v in linalg.nullspace(linalg.sparse(m), cols):
+    for v in linalg.nullspace(oracle.sparse(m), cols):
         for row in m:
             assert sum(a * v.get(j, 0) for j, a in enumerate(row)) == 0
 
@@ -90,7 +93,7 @@ def test_nullspace_vectors_lie_in_kernel(case):
 @given(any_matrices)
 def test_rref_idempotent(case):
     m, cols = case
-    red = linalg.rref(linalg.sparse(m), cols)
+    red = linalg.rref(oracle.sparse(m), cols)
     assert linalg.rref(list(red.values()), cols) == red
 
 
@@ -98,18 +101,18 @@ def test_rref_idempotent(case):
 @given(any_matrices)
 def test_rref_matches_dense_oracle(case):
     m, cols = case
-    red = linalg.rref(linalg.sparse(m), cols)
+    red = linalg.rref(oracle.sparse(m), cols)
     r, pivots = oracle.rref(m, cols)
     assert list(red) == pivots
-    assert [linalg.dense(row, cols) for row in red.values()] == r[:len(pivots)]
-    assert linalg.rank(linalg.sparse(m), cols) == oracle.rank(m, cols)
+    assert [oracle.dense(row, cols) for row in red.values()] == r[:len(pivots)]
+    assert linalg.rank(oracle.sparse(m), cols) == oracle.rank(m, cols)
 
 
 @settings(max_examples=100, deadline=None)
 @given(any_matrices)
 def test_nullspace_matches_dense_oracle(case):
     m, cols = case
-    got = [linalg.dense(v, cols) for v in linalg.nullspace(linalg.sparse(m), cols)]
+    got = [oracle.dense(v, cols) for v in linalg.nullspace(oracle.sparse(m), cols)]
     assert got == oracle.nullspace(m, cols)
 
 
@@ -118,8 +121,8 @@ def test_nullspace_matches_dense_oracle(case):
 def test_coordinates_reconstruct(case, coeffs):
     m, cols = case
     vec = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(cols)]
-    red = linalg.rref(linalg.with_markers(linalg.sparse(m), cols), cols + len(m))
-    got = linalg.coordinates(red, cols, linalg.sparse([vec])[0])
+    red = linalg.rref(linalg.with_markers(oracle.sparse(m), cols), cols + len(m))
+    got = linalg.coordinates(red, cols, oracle.sparse([vec])[0])
     assert got is not None
     rebuilt = [sum(c * m[i][j] for i, c in got.items()) for j in range(cols)]
     assert rebuilt == vec
@@ -130,9 +133,9 @@ def test_coordinates_reconstruct(case, coeffs):
 def test_coordinates_decide_membership_like_the_oracle(case, data):
     m, cols = case
     vec = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=cols, max_size=cols))
-    red = linalg.rref(linalg.with_markers(linalg.sparse(m), cols), cols + len(m))
+    red = linalg.rref(linalg.with_markers(oracle.sparse(m), cols), cols + len(m))
     inside = oracle.rank(m + [vec], cols) == oracle.rank(m, cols)
-    assert (linalg.coordinates(red, cols, linalg.sparse([vec])[0]) is not None) == inside
+    assert (linalg.coordinates(red, cols, oracle.sparse([vec])[0]) is not None) == inside
 
 
 def test_coordinates_reject_outside_vector():
@@ -147,23 +150,60 @@ def test_independent_is_the_greedy_basis(case):
     m, cols = case
     expected = [i for i in range(len(m))
                 if oracle.rank(m[:i + 1], cols) > oracle.rank(m[:i], cols)]
-    assert linalg.independent(linalg.sparse(m)) == expected
+    assert linalg.independent(oracle.sparse(m)) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(any_matrices)
 def test_quotient_maps_properties(case):
     rows, cols = case
-    dim, proj, sect = linalg.quotient_maps(linalg.sparse(rows), cols)
+    dim, proj, sect = linalg.quotient_maps(oracle.sparse(rows), cols)
     assert dim == cols - oracle.rank(rows, cols)
+    assert len(proj) == cols and len(sect) == dim
     # the projection has the oracle's kernel basis as its columns
-    assert linalg.transpose(proj, dim) == oracle.nullspace(rows, cols)
+    kernel = linalg.transpose(proj, dim)
+    assert [oracle.dense(v, cols) for v in kernel] == oracle.nullspace(rows, cols)
     # the section is a right inverse of the projection
-    assert linalg.mat_mul(sect, proj, bcols=dim) == linalg.identity(dim)
+    assert linalg.mat_mul(sect, proj) == linalg.identity(dim)
     # the row span projects to zero
-    for row in rows:
-        image = linalg.mat_mul([row], proj, bcols=dim)[0]
-        assert all(x == 0 for x in image)
+    assert linalg.is_zero_matrix(linalg.mat_mul(oracle.sparse(rows), proj))
+
+
+@st.composite
+def product_cases(draw):
+    """(a, b, d, k, c): dense a and d of shape r x k and b of shape k x c,
+    mostly zero so that sums cancel; d repeats some entries of a so that
+    differences cancel too."""
+    r, k, c = draw(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5)))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2])
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    d = [[x if draw(st.booleans()) else draw(entry) for x in row] for row in a]
+    return a, b, d, k, c
+
+
+def stores_no_zero(mat):
+    return all(x for row in mat for x in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_cases(), st.integers(-2, 2))
+def test_sparse_products_match_dense_oracle(case, scalar):
+    a, b, d, k, c = case
+    sa, sb, sd = oracle.sparse(a), oracle.sparse(b), oracle.sparse(d)
+    results = {
+        "mat_mul": (linalg.mat_mul(sa, sb), oracle.mat_mul(a, b, c), c),
+        "transpose": (linalg.transpose(sa, k), [[row[j] for row in a] for j in range(k)], len(a)),
+        "mat_sub": (linalg.mat_sub(sa, sd),
+                    [[x - y for x, y in zip(ra, rd)] for ra, rd in zip(a, d)], k),
+        "scalar_mul": (linalg.scalar_mul(scalar, sa), [[scalar * x for x in row] for row in a], k),
+    }
+    for name, (got, want, ncols) in results.items():
+        assert stores_no_zero(got), name
+        assert [oracle.dense(row, ncols) for row in got] == want, name
+        assert linalg.is_zero_matrix(got) == all(not x for row in want for x in row), name
+    # the inputs are left as they were
+    assert (sa, sb, sd) == (oracle.sparse(a), oracle.sparse(b), oracle.sparse(d))
 
 
 def test_integers_stay_integers_without_pivot_division():

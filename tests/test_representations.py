@@ -7,6 +7,8 @@ from quivalg.errors import ZeroModuleError
 from quivalg.nakayama import KupischSeries, kupisch_to_algebra
 from quivalg.quiver import QuiverShape
 from quivalg.representations import (
+    Morphism,
+    Representation,
     annihilator_dimension,
     direct_sum,
     dual_representation,
@@ -47,7 +49,7 @@ def test_injective_dims(branching_algebra):
 def test_simple_module(branching_algebra):
     s = simple_module(branching_algebra, 2)
     assert s.dims == (0, 0, 1, 0, 0)
-    assert all(all(x == 0 for row in m for x in row) for m in s.maps)
+    assert all(not any(m) for m in s.maps)
 
 
 def test_projective_satisfies_relations(branching_algebra):
@@ -55,7 +57,20 @@ def test_projective_satisfies_relations(branching_algebra):
         p = projective_module(branching_algebra, v)
         for rel in branching_algebra.relations:
             action = p.path_action(rel)
-            assert all(x == 0 for row in action for x in row)
+            assert not any(action)
+
+
+def test_constructors_reject_wrong_shapes(a2):
+    # a2 has one arrow, vertex 0 -> vertex 1; every space of P_0 has dim 1
+    Representation(a2, (1, 1), [[{0: 1}]])
+    p0 = projective_module(a2, 0)
+    Morphism(p0, p0, [[{0: 1}], [{0: 1}]])
+    for maps in ([[{0: 1}, {}]], [[{1: 1}]]):  # two rows; a column past the target
+        with pytest.raises(ValueError, match="arrow 'a0' has the wrong shape"):
+            Representation(a2, (1, 1), maps)
+    for maps in ([[{0: 1}], []], [[{0: 1}], [{1: 1}]]):  # no row; a column past the target
+        with pytest.raises(ValueError, match="vertex map at 1 has the wrong shape"):
+            Morphism(p0, p0, maps)
 
 
 # -- socle / top / radical ------------------------------------------------------
