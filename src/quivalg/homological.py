@@ -1,15 +1,15 @@
 """Dominant dimension and the double centraliser test.
 
 Which indecomposable projectives are injective is decided once per algebra,
-from their cached socles, and kept as a per-vertex table; selfinjectivity,
-the minimal faithful projective-injective module and the projectivity of
-coresolution terms are all read from it.  The minimal injective
-coresolution of the regular module is generated lazily: each term is
-decided from a socle, and exact envelopes and cokernels are built only to
-reach the next term; the dominant dimension counts its leading projective
-terms.  The corner algebra fAf of the minimal faithful projective-injective
-left module and the commutant of its right action on Af give the double
-centraliser check.
+from their socle dimension vectors read off the path basis, and kept as a
+per-vertex table; selfinjectivity, the minimal faithful projective-injective
+module and the projectivity of coresolution terms are all read from it.
+The minimal injective coresolution of the regular module is generated
+lazily: each term is decided from a socle, and exact envelopes and
+cokernels are built only to reach the next term; the dominant dimension
+counts its leading projective terms.  The corner algebra fAf of the
+minimal faithful projective-injective left module and the commutant of its
+right action on Af give the double centraliser check.
 """
 
 from collections import namedtuple
@@ -26,8 +26,6 @@ from .representations import (
     commutation_equations,
     envelope_dim,
     injective_envelope,
-    projective_module,
-    projective_socle_dims,
     quotient_by,
     regular_module,
 )
@@ -69,15 +67,14 @@ class DomDim:
 
 def projective_injective_vertices(algebra):
     """The vertices v whose indecomposable projective P_v is injective: those
-    where the envelope forced by the cached socle of P_v has dim P_v.
-    Computed once per algebra and cached; every other projective-injectivity
-    question reads this table."""
+    where the envelope forced by the socle of P_v, read off the path basis,
+    has dim P_v.  Computed once per algebra and cached; every other
+    projective-injectivity question reads this table."""
     key = ("proj_inj",)
     if key not in algebra._cache:
         algebra._cache[key] = tuple(
             v for v in range(algebra.quiver.vertex_count)
-            if envelope_dim(algebra, projective_socle_dims(algebra, v))
-            == projective_module(algebra, v).total_dim)
+            if envelope_dim(algebra, algebra.socle_dims(v)) == len(algebra.paths_from(v)))
     return algebra._cache[key]
 
 
@@ -92,16 +89,17 @@ def injective_coresolution(algebra):
     N_k -> I_k; stops at a zero cokernel.
 
     A term is read off soc(N_k): its vertices are the socle vertices s
-    with multiplicity, and soc(A) is the sum of the cached socles of the
-    P_v.  I_s = D(P_s) for P_s projective over the opposite algebra, and D
-    takes injective modules over the opposite algebra to projective ones,
-    so I_k is projective exactly when every s lies in the opposite
-    algebra's projective-injective table.  The envelope of N_k and N_{k+1}
-    are built only when the next term is requested.
+    with multiplicity, and soc(A) is the sum of the socles of the P_v,
+    read off the path basis.  I_s = D(P_s) for P_s projective over the
+    opposite algebra, and D takes injective modules over the opposite
+    algebra to projective ones, so I_k is projective exactly when every s
+    lies in the opposite algebra's projective-injective table.  The
+    envelope of N_k and N_{k+1} are built only when the next term is
+    requested.
     """
     opposite_table = projective_injective_vertices(algebra.opposite())
     n = algebra.quiver.vertex_count
-    socle_dims = [sum(d) for d in zip(*(projective_socle_dims(algebra, v) for v in range(n)))]
+    socle_dims = [sum(d) for d in zip(*(algebra.socle_dims(v) for v in range(n)))]
     build = lambda: injective_envelope(regular_module(algebra))  # N_0 = A only if needed
     while True:
         vertices = tuple(s for s, d in enumerate(socle_dims) for _ in range(d))

@@ -2,9 +2,9 @@
 
 An algebra is presented by a connected quiver and a set of forbidden paths
 of length >= 2 (the monomial generators of the ideal).  The basis consists
-of all paths containing no forbidden factor; admissibility (finiteness of
-that basis) is decided exactly by a cycle search on the automaton of
-relation-free suffix windows, so no length cutoff is ever involved.
+of all paths containing no forbidden factor; the one search that enumerates
+it decides admissibility (finiteness of that basis) exactly, by a repeated
+state on one branch, so no length cutoff is ever involved.
 """
 
 from collections import namedtuple
@@ -55,75 +55,46 @@ class MonomialAlgebra:
 
     def _install(self, quiver, relations, basis=None):
         """Set the presentation and every field derived from it; without a
-        given basis, decide admissibility and enumerate the basis."""
+        given basis, enumerate it, which decides admissibility."""
         self.quiver = quiver
         self.relations = relations
-        self._forbidden = {r.arrows for r in relations}
-        self._rel_lengths = sorted({len(f) for f in self._forbidden})
-        self._max_rel = max(self._rel_lengths, default=1)
-        if basis is None:
-            self._check_admissible()
-            basis = self._enumerate_basis()
-        self.basis = basis
-        self._basis_index = {p: i for i, p in enumerate(basis)}
+        self.basis = self._enumerate_basis() if basis is None else basis
+        self._basis_index = {p: i for i, p in enumerate(self.basis)}
         self._cache = {}
         self._opposite = None
 
-    def _window_ok(self, seq):
-        """No forbidden factor ends at the last arrow of ``seq``."""
-        n = len(seq)
-        for ln in self._rel_lengths:
-            if ln <= n and seq[n - ln:] in self._forbidden:
-                return False
-        return True
-
-    def _check_admissible(self):
-        w = self._max_rel - 1
-        out = self.quiver.out_arrows
-        arrows = self.quiver.arrows
-        # states: (vertex, suffix window of < max relation length arrows)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {}
-        for v in range(self.quiver.vertex_count):
-            start = (v, ())
-            if color.get(start, WHITE) != WHITE:
-                continue
-            stack = [(start, iter(out[v]))]
-            color[start] = GRAY
-            while stack:
-                (sv, win), it = stack[-1]
-                advanced = False
-                for a in it:
-                    seq = win + (a,)
-                    if not self._window_ok(seq):
-                        continue
-                    nxt = (arrows[a].target, seq[-w:] if w else ())
-                    c = color.get(nxt, WHITE)
-                    if c == GRAY:
-                        raise NotAdmissibleError(
-                            "the relation-free extension graph has a cycle; "
-                            "the path basis is infinite")
-                    if c == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, iter(out[nxt[0]])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[(sv, win)] = BLACK
-                    stack.pop()
-
     def _enumerate_basis(self):
-        paths = []
+        """Depth-first search per vertex.  A path's state (target, last
+        max relation length - 1 arrows) fixes its extensions, so a state met
+        twice on a branch closes a loop that repeats forever."""
+        forbidden = {r.arrows for r in self.relations}
+        lengths = sorted({len(f) for f in forbidden})
+        w = max(lengths, default=1) - 1
         out = self.quiver.out_arrows
         arrows = self.quiver.arrows
+        paths = []
         for v in range(self.quiver.vertex_count):
-            stack = [(v, ())]
+            stack, on_branch = [(v, ())], set()
             while stack:
                 tgt, seq = stack.pop()
+                if tgt is None:  # the exit marker of state seq
+                    on_branch.remove(seq)
+                    continue
+                state = (tgt, seq[-w:] if w else ())
+                if state in on_branch:
+                    raise NotAdmissibleError(
+                        "the relation-free extension graph has a cycle; "
+                        "the path basis is infinite")
+                on_branch.add(state)
+                stack.append((None, state))
                 paths.append(Path(v, tgt, seq))
                 for a in out[tgt]:
                     ext = seq + (a,)
-                    if self._window_ok(ext):
+                    n = len(ext)
+                    for ln in lengths:  # does a relation end at arrow a?
+                        if ln <= n and ext[n - ln:] in forbidden:
+                            break
+                    else:
                         stack.append((arrows[a].target, ext))
         paths.sort(key=_path_order)
         return tuple(paths)
@@ -197,13 +168,23 @@ class MonomialAlgebra:
             self._opposite = opp
         return self._opposite
 
+    def socle_dims(self, v):
+        """Socle dimension vector of e_v A: an arrow sends distinct paths to
+        distinct paths or zero, so the socle is spanned by the paths out of
+        v with no nonzero extension, here counted by target."""
+        index = self._path_index
+        dims = [0] * self.quiver.vertex_count
+        for i in index.sources.get(v, ()):
+            if not index.extensions[i]:
+                dims[self.basis[i].target] += 1
+        return tuple(dims)
+
     def socle_criterion(self, v, side=Side.RIGHT):
         """True when exactly one maximal nonzero path starts at v (RIGHT) or
         ends at v (LEFT); equivalently the corresponding indecomposable
         projective has simple socle."""
-        if side is Side.RIGHT:  # a maximal path has no nonzero extension
-            index = self._path_index
-            return sum(not index.extensions[i] for i in index.sources.get(v, ())) == 1
+        if side is Side.RIGHT:
+            return sum(self.socle_dims(v)) == 1
         if side is Side.LEFT:
             return self.opposite().socle_criterion(v, Side.RIGHT)
         raise ValueError("socle_criterion takes RIGHT or LEFT")

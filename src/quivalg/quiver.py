@@ -109,11 +109,6 @@ class Quiver:
             return False
         return q == p
 
-    def path_name(self, p):
-        if p.is_trivial:
-            return f"e{p.source}"
-        return "*".join(self.arrows[i].name for i in p.arrows)
-
     @cached_property
     def canonical_labelings(self):
         """``(pairs, relabelings)``: the least sorted tuple of arrow endpoint
@@ -200,12 +195,6 @@ def kupisch_walk(quiver):
         v = quiver.arrows[quiver.out_arrows[v][0]].target
         order.append(v)
     return shape, order
-
-
-def permute_vertices(quiver, perm):
-    """Relabel vertices by ``perm`` (old index -> new index); arrow order kept."""
-    arrows = tuple(Arrow(a.name, perm[a.source], perm[a.target]) for a in quiver.arrows)
-    return Quiver(quiver.vertex_count, arrows)
 
 
 def connected_components(quiver):

@@ -89,15 +89,9 @@ class Morphism:
         maps = [linalg.mat_mul(f, g) for f, g in zip(self.vertex_maps, other.vertex_maps)]
         return Morphism(self.source, other.target, maps)
 
-    def _has_ranks(self, dims):
-        return all(linalg.rank(m, self.target.dims[v]) == dims[v]
-                   for v, m in enumerate(self.vertex_maps))
-
     def is_injective(self):
-        return self._has_ranks(self.source.dims)
-
-    def is_surjective(self):
-        return self._has_ranks(self.target.dims)
+        return all(linalg.rank(m, self.target.dims[v]) == self.source.dims[v]
+                   for v, m in enumerate(self.vertex_maps))
 
     def is_isomorphism(self):
         return self.source.dims == self.target.dims and self.is_injective()
@@ -107,16 +101,6 @@ class Morphism:
 
 
 # -- standard modules --------------------------------------------------------
-
-
-def simple_module(algebra, v):
-    key = ("simple", v)
-    if key not in algebra._cache:
-        n = algebra.quiver.vertex_count
-        dims = [1 if w == v else 0 for w in range(n)]
-        maps = [linalg.zeros(dims[a.source]) for a in algebra.quiver.arrows]
-        algebra._cache[key] = Representation(algebra, dims, maps)
-    return algebra._cache[key]
 
 
 def projective_module(algebra, v):
@@ -211,12 +195,10 @@ def socle(rep):
 
 
 def projective_socle_dims(algebra, v):
-    """Socle dimension vector of P_v, read off the kernel bases that
-    :func:`socle` computes, once per algebra and cached with its modules."""
-    key = ("proj_socle", v)
-    if key not in algebra._cache:
-        algebra._cache[key] = tuple(map(len, _socle_bases(projective_module(algebra, v))))
-    return algebra._cache[key]
+    """Socle dimension vector of P_v by elimination, read off the kernel
+    bases that :func:`socle` computes; the oracle that checks
+    ``MonomialAlgebra.socle_dims``."""
+    return tuple(map(len, _socle_bases(projective_module(algebra, v))))
 
 
 def radical(rep):
@@ -254,12 +236,6 @@ def top(rep):
     """Largest semisimple quotient M / rad M; returns (quotient, projection)."""
     return quotient_by(rep, [radical_rows(rep, v)
                              for v in range(rep.algebra.quiver.vertex_count)])
-
-
-def mod_socle(rep):
-    """M / soc M (possibly the zero module)."""
-    sub, incl = socle(rep)
-    return quotient_by(rep, incl.vertex_maps)[0]
 
 
 # -- covers and envelopes ------------------------------------------------------
@@ -344,7 +320,7 @@ def homological_status(rep):
                              envelope_dim(algebra, s.dims) == rep.total_dim)
 
 
-# -- hom spaces and faithfulness ----------------------------------------------
+# -- hom spaces ----------------------------------------------------------------
 
 
 def commutation_equations(spaces, arrows):
@@ -399,32 +375,3 @@ def hom_space(m, n):
         morphisms.append(Morphism(m, n, maps))
     return morphisms
 
-
-def annihilator_dimension(rep):
-    """Dimension of {a in A : M a = 0}, by exact elimination over the
-    path basis."""
-    algebra = rep.algebra
-    actions = {}  # (source, arrows) -> matrix of the path's action
-    for p in algebra.basis:  # sorted by length, so prefixes come first
-        actions[p.source, p.arrows] = (
-            linalg.mat_mul(actions[p.source, p.arrows[:-1]], rep.maps[p.arrows[-1]])
-            if p.arrows else linalg.identity(rep.dims[p.source]))
-    block_offsets = {}
-    width = 0
-    for p in algebra.basis:
-        key = (p.source, p.target)
-        if key not in block_offsets:
-            block_offsets[key] = width
-            width += rep.dims[p.source] * rep.dims[p.target]
-    rows = []
-    for p in algebra.basis:
-        off = block_offsets[(p.source, p.target)]
-        cols = rep.dims[p.target]
-        rows.append({off + i * cols + j: x for i, arow in enumerate(actions[p.source, p.arrows])
-                     for j, x in arow.items()})
-    return algebra.dimension - linalg.rank(rows, width)
-
-
-def is_faithful(rep):
-    """True when the right annihilator of M in A is zero."""
-    return annihilator_dimension(rep) == 0

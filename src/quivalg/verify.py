@@ -52,7 +52,7 @@ from .nakayama import (
     kupisch_to_algebra,
     uniserial_module,
 )
-from .quiver import Arrow, Quiver, QuiverShape, kupisch_walk, shape_classify
+from .quiver import QuiverShape, kupisch_walk, shape_classify
 from .representations import projective_socle_dims
 
 # The default corpus pairs a length-two-relation family with a smaller
@@ -126,9 +126,8 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
     socle_agree = True
     qf2 = []  # RIGHT on A, then RIGHT on the opposite, which is LEFT on A
     for work in (algebra, opp):
-        criteria = [work.socle_criterion(v, Side.RIGHT) for v in range(n)]
-        qf2.append(all(criteria))
-        socle_agree &= criteria == [sum(projective_socle_dims(work, v)) == 1 for v in range(n)]
+        qf2.append(work.is_qf2(Side.RIGHT))
+        socle_agree &= all(work.socle_dims(v) == projective_socle_dims(work, v) for v in range(n))
     pi_right = minimal_faithful_proj_inj(algebra, Side.RIGHT)
     pi_left = minimal_faithful_proj_inj(algebra, Side.LEFT)
     dc = double_centralizer_check(algebra)
@@ -160,15 +159,8 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
     }
 
 
-def _quiver_payloads(bounds):
-    quivers = connected_quivers(bounds.max_vertices, bounds.max_arrows)
-    return [(q.vertex_count, tuple((a.source, a.target) for a in q.arrows),
-             bounds.max_relation_length) for q in quivers]
-
-
 def _facts_for_quiver(payload):
-    n, pairs, max_rel, cutoff = payload
-    quiver = Quiver(n, tuple(Arrow(f"a{i}", s, t) for i, (s, t) in enumerate(pairs)))
+    quiver, max_rel, cutoff = payload
     return [algebra_facts(algebra, cutoff) for algebra in algebras_over(quiver, max_rel)]
 
 
@@ -176,9 +168,9 @@ def sweep_corpus(corpora, cutoff=DOMDIM_CUTOFF, workers=1):
     """Facts for every algebra of every corpus, partitioned per quiver and
     merged in canonical order regardless of the worker count, which is
     capped at the number of CPUs."""
-    payloads = [(n, pairs, max_rel, cutoff)
+    payloads = [(quiver, bounds.max_relation_length, cutoff)
                 for bounds in corpora
-                for n, pairs, max_rel in _quiver_payloads(bounds)]
+                for quiver in connected_quivers(bounds.max_vertices, bounds.max_arrows)]
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         chunks = [_facts_for_quiver(p) for p in payloads]
@@ -297,8 +289,8 @@ def kupisch_side_checks(max_n, max_c):
 
 def qf2_chain_checks(facts):
     """domdim >= 2 forces QF-2 on both sides, two-sided QF-2 forces a
-    Nakayama-shaped quiver, and the combinatorial socle criterion matches
-    the linear-algebra socle of every projective."""
+    Nakayama-shaped quiver, and the socle dimension vector of every
+    projective read off the path basis matches its linear-algebra socle."""
     counts = {"algebras": len(facts), "qf2_both": 0, "domdim_ge2": 0}
     counterexamples = []
     for f in facts:

@@ -7,17 +7,23 @@ algebra, minimized over every vertex permutation of its own presentation;
 reversed presentation; ``paths_from``, ``paths_into``, ``extend_by_arrow``
 and ``projective_module`` are the former Path-level basis scans, and
 ``connected_quivers`` the former quiver search, which took the least
-sorted image over every vertex permutation.  The tests compare
+sorted image over every vertex permutation.  ``check_admissible`` is the
+former admissibility test, a white/grey/black cycle search on the
+automaton of relation-free suffix windows, run before and apart from the
+basis enumeration.  The tests compare
 ``quivalg.enumeration.canonical_form`` (relabelings computed once per
 quiver), ``quivalg.monomial._reduce_relations`` (factor lookups),
 ``MonomialAlgebra.opposite`` (the basis reversed), the readers of the
-per-algebra path index and ``quivalg.enumeration.connected_quivers``
-against them.
+per-algebra path index, ``quivalg.enumeration.connected_quivers`` and
+the admissibility decision of the one basis search against them.
+``permute_vertices`` and ``path_name`` relabel quivers and name paths
+for the tests.
 """
 
 from itertools import combinations_with_replacement, permutations, product
 
 from quivalg import linalg
+from quivalg.errors import NotAdmissibleError
 from quivalg.monomial import MonomialAlgebra
 from quivalg.quiver import Arrow, Path, Quiver, compose, is_connected
 from quivalg.representations import Representation
@@ -145,3 +151,59 @@ def connected_quivers(max_vertices, max_arrows):
                 seen.add(canon)
                 out.append(quiver)
     return out
+
+
+def check_admissible(quiver, relations):
+    """Raise NotAdmissibleError when the path basis is infinite: a
+    depth-first search for a cycle among the states (vertex, suffix window
+    of fewer than max relation length arrows) that relation-free paths
+    reach."""
+    forbidden = {r.arrows for r in relations}
+    lengths = sorted({len(f) for f in forbidden})
+    w = max(lengths, default=1) - 1
+    out = quiver.out_arrows
+
+    def window_ok(seq):
+        return not any(ln <= len(seq) and seq[len(seq) - ln:] in forbidden for ln in lengths)
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {}
+    for v in range(quiver.vertex_count):
+        start = (v, ())
+        if color.get(start, WHITE) != WHITE:
+            continue
+        stack = [(start, iter(out[v]))]
+        color[start] = GRAY
+        while stack:
+            (sv, win), it = stack[-1]
+            advanced = False
+            for a in it:
+                seq = win + (a,)
+                if not window_ok(seq):
+                    continue
+                nxt = (quiver.arrows[a].target, seq[-w:] if w else ())
+                c = color.get(nxt, WHITE)
+                if c == GRAY:
+                    raise NotAdmissibleError(
+                        "the relation-free extension graph has a cycle; "
+                        "the path basis is infinite")
+                if c == WHITE:
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(out[nxt[0]])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[(sv, win)] = BLACK
+                stack.pop()
+
+
+def permute_vertices(quiver, perm):
+    """Relabel vertices by ``perm`` (old index -> new index); arrow order kept."""
+    arrows = tuple(Arrow(a.name, perm[a.source], perm[a.target]) for a in quiver.arrows)
+    return Quiver(quiver.vertex_count, arrows)
+
+
+def path_name(quiver, p):
+    if p.is_trivial:
+        return f"e{p.source}"
+    return "*".join(quiver.arrows[i].name for i in p.arrows)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from fractions import Fraction
 
+from module_oracles import simple_module
 from quivalg.errors import NotBasicError, NotLocalError
 from quivalg.endo import (
     EndomorphismContext,
@@ -16,7 +17,7 @@ from quivalg.endo import (
 from quivalg.monomial import Side
 from quivalg.nakayama import KupischSeries, all_uniserial_ids, uniserial_module
 from quivalg.quiver import QuiverShape
-from quivalg.representations import direct_sum, hom_space, projective_module, simple_module
+from quivalg.representations import direct_sum, hom_space, projective_module
 
 
 def auslander_of_dual_numbers(dual_numbers):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import presentation_oracles as oracle
 from quivalg.cli import paper_example_text, parse_algebra
-from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
+from quivalg.enumeration import CorpusBounds, _paths_by_level, enumerate_monomial_algebras
 from quivalg.errors import BadRelationError, DisconnectedQuiverError, NotAdmissibleError
 from quivalg.monomial import MonomialAlgebra, Side, _reduce_relations, build
 from quivalg.nakayama import kupisch_to_algebra, parse_kupisch
@@ -39,11 +39,11 @@ def brute_force_basis(quiver, relations, max_len=10):
 
 def test_basis_of_branching_example(branching_algebra):
     a = branching_algebra
-    oracle = brute_force_basis(a.quiver, a.relations)
-    assert len(oracle) == 11
+    expected = brute_force_basis(a.quiver, a.relations)
+    assert len(expected) == 11
     assert a.dimension == 11
-    assert {(p.target, p.arrows) for p in a.basis} == oracle
-    names = {a.quiver.path_name(p) for p in a.basis}
+    assert {(p.target, p.arrows) for p in a.basis} == expected
+    names = {oracle.path_name(a.quiver, p) for p in a.basis}
     assert {"e0", "e1", "e2", "e3", "e4", "a1", "a2", "a3", "a4"} <= names
     assert "a1*a4" in names and "a2*a3" in names
     assert "a1*a3" not in names and "a2*a4" not in names
@@ -71,6 +71,45 @@ def test_disconnected_rejected():
     q = Quiver.from_arrows(2, [])
     with pytest.raises(DisconnectedQuiverError):
         build(q, [])
+
+
+# one loop, two loops, a loop plus an arrow, parallel arrows closed into a
+# 2-cycle, a 2-cycle and a 3-cycle; in the last shape the only cycle is a
+# loop on the branch out of vertex 0 that the search pops last
+ADMISSIBILITY_QUIVERS = (
+    Quiver.from_arrows(1, [("x", 0, 0)]),
+    Quiver.from_arrows(1, [("x", 0, 0), ("y", 0, 0)]),
+    Quiver.from_arrows(2, [("x", 0, 0), ("a", 0, 1)]),
+    Quiver.from_arrows(2, [("a", 0, 1), ("b", 0, 1), ("c", 1, 0)]),
+    Quiver.from_arrows(2, [("a", 0, 1), ("b", 1, 0)]),
+    Quiver.from_arrows(3, [("a", 0, 1), ("b", 1, 2), ("c", 2, 0)]),
+    Quiver.from_arrows(4, [("a", 0, 1), ("b", 0, 2), ("c", 0, 3), ("x", 1, 1)]),
+)
+
+
+def test_basis_search_decides_admissibility_as_the_cycle_search():
+    """Over every set of at most three paths of length 2 or 3 on small
+    quivers, the basis search rejects exactly the presentations that the
+    former cycle search rejects, with its message, and otherwise finds the
+    brute-force basis."""
+    checked = rejected = 0
+    for q in ADMISSIBILITY_QUIVERS:
+        levels = _paths_by_level(q, 3)
+        paths = [q.path_from_indices(w) for w in levels[2] + levels[3]]
+        for rels in itertools.chain.from_iterable(
+                itertools.combinations(paths, k) for k in range(4)):
+            try:
+                oracle.check_admissible(q, rels)
+            except NotAdmissibleError as err:
+                with pytest.raises(NotAdmissibleError) as got:
+                    build(q, rels)
+                assert str(got.value) == str(err)
+                rejected += 1
+            else:
+                a = build(q, rels)
+                assert {(p.target, p.arrows) for p in a.basis} == brute_force_basis(q, rels)
+            checked += 1
+    assert (checked, rejected) == (566, 379)
 
 
 def test_multiply_examples(branching_algebra):
@@ -102,7 +141,7 @@ def test_opposite_of_branching_example(branching_algebra):
     opp = branching_algebra.opposite()
     arrows = {(a.name, a.source, a.target) for a in opp.quiver.arrows}
     assert arrows == {("a1", 1, 0), ("a2", 1, 2), ("a3", 3, 1), ("a4", 4, 1)}
-    rel_names = {opp.quiver.path_name(r) for r in opp.relations}
+    rel_names = {oracle.path_name(opp.quiver, r) for r in opp.relations}
     assert rel_names == {"a3*a1", "a4*a2"}
 
 
@@ -228,8 +267,9 @@ def test_socle_criterion_against_representation_oracle(branching_algebra):
     expected = {0: True, 1: False, 2: True, 3: True, 4: True}
     for v, want in expected.items():
         assert a.socle_criterion(v, Side.RIGHT) is want
-        soc_dim = socle(projective_module(a, v))[0].total_dim
-        assert (soc_dim == 1) is want
+        soc = socle(projective_module(a, v))[0]
+        assert a.socle_dims(v) == soc.dims
+        assert (soc.total_dim == 1) is want
 
 
 def test_socle_criterion_trivial_vertex():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from presentation_oracles import permute_vertices
 from quivalg.errors import DisconnectedQuiverError
 from quivalg.quiver import (
     Quiver,
@@ -10,7 +11,6 @@ from quivalg.quiver import (
     induced_subquiver,
     is_connected,
     kupisch_walk,
-    permute_vertices,
     shape_classify,
 )
 
