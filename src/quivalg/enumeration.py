@@ -13,7 +13,7 @@ isomorphic presentations over the same quiver are rejected before an
 algebra is built: each relation set gets a canonical byte encoding,
 minimized over the arrow relabelings (vertex permutations composed with
 permutations of parallel arrows) that the quiver computes once, and an
-algebra is built only for a new encoding.
+algebra is built only for a new encoding, without the constructor's checks.
 """
 
 from dataclasses import dataclass
@@ -143,10 +143,6 @@ def admissible_relation_sets(quiver, max_len):
     return results
 
 
-def _relation_paths(quiver, rel_tuples):
-    return tuple(quiver.path_from_indices(w) for w in rel_tuples)
-
-
 def canonical_form(quiver, relations):
     """Canonical byte string of the presentation with the given relations
     (arrow-index tuples, a factor-antichain): the least sorted arrow pairs
@@ -174,13 +170,15 @@ def algebras_over(quiver, max_relation_length):
     """The monomial algebras over one quiver with relations up to the given
     length, one representative per isomorphism class of presentations.  A
     candidate's class is decided before it is built, and only the first
-    candidate of each class is built."""
+    candidate of each class is built, through ``_install``: its relations
+    are already a reduced factor-antichain in basis order, and admissible."""
     seen = set()
     for rel_tuples in admissible_relation_sets(quiver, max_relation_length):
         form = canonical_form(quiver, rel_tuples)
         if form not in seen:
             seen.add(form)
-            algebra = MonomialAlgebra(quiver, _relation_paths(quiver, rel_tuples))
+            algebra = MonomialAlgebra.__new__(MonomialAlgebra)
+            algebra._install(quiver, tuple(map(quiver.path_from_indices, rel_tuples)))
             algebra._cache[("canonical_form",)] = form
             yield algebra
 

@@ -22,12 +22,12 @@ from .endo import monomial_basic_algebra
 from .errors import DomDimZeroError
 from .monomial import Side
 from .representations import (
-    _socle_bases,
     commutation_equations,
     envelope_dim,
     injective_envelope,
     quotient_by,
     regular_module,
+    socle_dims,
 )
 
 
@@ -74,7 +74,7 @@ def projective_injective_vertices(algebra):
     if key not in algebra._cache:
         algebra._cache[key] = tuple(
             v for v in range(algebra.quiver.vertex_count)
-            if envelope_dim(algebra, algebra.socle_dims(v)) == len(algebra.paths_from(v)))
+            if envelope_dim(algebra, algebra.socle_dims(v)) == len(algebra._path_index.sources[v]))
     return algebra._cache[key]
 
 
@@ -89,27 +89,28 @@ def injective_coresolution(algebra):
     N_k -> I_k; stops at a zero cokernel.
 
     A term is read off soc(N_k): its vertices are the socle vertices s
-    with multiplicity, and soc(A) is the sum of the socles of the P_v,
-    read off the path basis.  I_s = D(P_s) for P_s projective over the
-    opposite algebra, and D takes injective modules over the opposite
-    algebra to projective ones, so I_k is projective exactly when every s
-    lies in the opposite algebra's projective-injective table.  The
+    with multiplicity.  soc(A) is the sum of the socles of the P_v, read
+    off the path basis, and a later socle is read off ranks.  I_s = D(P_s)
+    for P_s projective over the opposite algebra, and D takes injective
+    modules over the opposite algebra to projective ones, so I_k is
+    projective exactly when every s lies in the opposite algebra's
+    projective-injective table.  The
     envelope of N_k and N_{k+1} are built only when the next term is
     requested.
     """
     opposite_table = projective_injective_vertices(algebra.opposite())
     n = algebra.quiver.vertex_count
-    socle_dims = [sum(d) for d in zip(*(algebra.socle_dims(v) for v in range(n)))]
+    socle = [sum(d) for d in zip(*(algebra.socle_dims(v) for v in range(n)))]
     build = lambda: injective_envelope(regular_module(algebra))  # N_0 = A only if needed
     while True:
-        vertices = tuple(s for s, d in enumerate(socle_dims) for _ in range(d))
+        vertices = tuple(s for s, d in enumerate(socle) for _ in range(d))
         envelope = cache(build)
         yield CoresolutionTerm(vertices, all(s in opposite_table for s in vertices), envelope)
         env, emb, _ = envelope()
         module = quotient_by(env, emb.vertex_maps)[0]
         if module.is_zero:
             return
-        socle_dims = tuple(map(len, _socle_bases(module)))
+        socle = socle_dims(module)
         build = partial(injective_envelope, module)
 
 
@@ -157,12 +158,14 @@ def _suffix_faithful(algebra, vertices):
 def minimal_faithful_proj_inj(algebra, side=Side.RIGHT):
     """Vertices whose indecomposable projectives on the given side are also
     injective, when their direct sum is faithful; None otherwise (dominant
-    dimension zero)."""
+    dimension zero).  Cached next to the projective-injective table of the
+    algebra whose right projectives these are: A, or its opposite for LEFT."""
     work = algebra if side is Side.RIGHT else algebra.opposite()
-    verts = projective_injective_vertices(work)
-    if not verts or not _suffix_faithful(work, verts):
-        return None
-    return verts
+    key = ("faithful_proj_inj",)
+    if key not in work._cache:
+        verts = projective_injective_vertices(work)
+        work._cache[key] = verts if verts and _suffix_faithful(work, verts) else None
+    return work._cache[key]
 
 
 def base_algebra(algebra):

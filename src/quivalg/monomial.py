@@ -168,16 +168,20 @@ class MonomialAlgebra:
             self._opposite = opp
         return self._opposite
 
+    @cached_property
+    def _socle_table(self):  # socle_dims of every vertex, from one pass over the basis
+        n = self.quiver.vertex_count
+        table = [[0] * n for _ in range(n)]
+        for p, ext in zip(self.basis, self._path_index.extensions):
+            if not ext:
+                table[p.source][p.target] += 1
+        return dict(enumerate(map(tuple, table)))
+
     def socle_dims(self, v):
-        """Socle dimension vector of e_v A: an arrow sends distinct paths to
-        distinct paths or zero, so the socle is spanned by the paths out of
-        v with no nonzero extension, here counted by target."""
-        index = self._path_index
-        dims = [0] * self.quiver.vertex_count
-        for i in index.sources.get(v, ()):
-            if not index.extensions[i]:
-                dims[self.basis[i].target] += 1
-        return tuple(dims)
+        """Socle dimension vector of e_v A, zero outside the quiver: an arrow
+        sends distinct paths to distinct paths or zero, so the socle is
+        spanned by the paths out of v with no nonzero extension, by target."""
+        return self._socle_table.get(v) or (0,) * self.quiver.vertex_count
 
     def socle_criterion(self, v, side=Side.RIGHT):
         """True when exactly one maximal nonzero path starts at v (RIGHT) or

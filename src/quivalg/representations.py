@@ -10,7 +10,9 @@ A morphism is a family of per-vertex matrices commuting with every arrow
 map.  Both keep the matrices they are given, without copying, after a
 shape check.  Socles, tops, covers, envelopes and hom spaces are all
 computed by exact Gaussian elimination; no floating point is involved
-anywhere.
+anywhere.  Socle dimension vectors need only ranks of the outgoing arrow
+maps side by side; for P_v, the elimination oracle of the socles read off
+the path basis, those maps come straight from the path index.
 """
 
 from collections import namedtuple
@@ -73,14 +75,6 @@ class Morphism:
         self.vertex_maps = vertex_maps
         for v, m in enumerate(vertex_maps):
             _check_shape(m, source.dims[v], target.dims[v], f"vertex map at {v}")
-
-    def _check_commutes(self):
-        q = self.source.algebra.quiver
-        for i, a in enumerate(q.arrows):
-            left = linalg.mat_mul(self.source.maps[i], self.vertex_maps[a.target])
-            right = linalg.mat_mul(self.vertex_maps[a.source], self.target.maps[i])
-            if left != right:
-                raise ValueError(f"maps do not commute with arrow {a.name!r}")
 
     def then(self, other):
         """Composite morphism: self first, then other."""
@@ -169,36 +163,56 @@ def radical_rows(rep, v):
     return [row for a in rep.algebra.quiver.in_arrows[v] for row in rep.maps[a]]
 
 
-def _socle_bases(rep):
-    """Per vertex, a basis of soc M there as sparse rows: the joint kernel
-    of the outgoing arrow maps (loops included)."""
-    q = rep.algebra.quiver
-    bases = [[] for _ in range(q.vertex_count)]
-    for v in range(q.vertex_count):
-        if not rep.dims[v]:  # a zero space needs no elimination
-            continue
-        # x M_a = 0 is one equation per column of M_a
-        equations = [eq for a in q.out_arrows[v]
-                     for eq in linalg.transpose(rep.maps[a], rep.dims[q.arrows[a].target])]
-        bases[v] = linalg.nullspace(equations, rep.dims[v])
-    return bases
-
-
 def socle(rep):
-    """Largest semisimple submodule; returns (sub, inclusion).  The
+    """Largest semisimple submodule; returns (sub, inclusion).  soc M at v
+    is the joint kernel of the outgoing arrow maps (loops included); the
     sub-representation has zero arrow maps."""
-    bases = _socle_bases(rep)
-    dims = [len(basis) for basis in bases]
-    maps = [linalg.zeros(dims[a.source]) for a in rep.algebra.quiver.arrows]
-    sub = Representation(rep.algebra, dims, maps)
+    q = rep.algebra.quiver
+    # x M_a = 0 is one equation per column of M_a; a zero space needs no elimination
+    bases = [linalg.nullspace([eq for a in q.out_arrows[v] for eq in linalg.transpose(
+        rep.maps[a], rep.dims[q.arrows[a].target])], d) if d else []
+        for v, d in enumerate(rep.dims)]
+    sub = Representation(rep.algebra, [len(basis) for basis in bases],
+                         [linalg.zeros(len(bases[a.source])) for a in q.arrows])
     return sub, Morphism(sub, rep, bases)
 
 
+def _corank(rows, width):  # dim {x : x M = 0}; a zero matrix M needs no elimination
+    return len(rows) - (linalg.rank(rows, width) if any(rows) else 0)
+
+
+def socle_dims(rep):
+    """Socle dimension vector of M by rank: dim M_w minus the rank of the
+    arrow maps out of w placed side by side."""
+    q = rep.algebra.quiver
+    dims = []
+    for w, d in enumerate(rep.dims):
+        rows, width = [{} for _ in range(d)], 0
+        for a in q.out_arrows[w]:
+            for row, mrow in zip(rows, rep.maps[a]):
+                row.update({width + c: x for c, x in mrow.items()})
+            width += rep.dims[q.arrows[a].target]
+        dims.append(_corank(rows, width))
+    return tuple(dims)
+
+
 def projective_socle_dims(algebra, v):
-    """Socle dimension vector of P_v by elimination, read off the kernel
-    bases that :func:`socle` computes; the oracle that checks
-    ``MonomialAlgebra.socle_dims``."""
-    return tuple(map(len, _socle_bases(projective_module(algebra, v))))
+    """Socle dimension vector of P_v by elimination, uncached: the oracle of
+    ``MonomialAlgebra.socle_dims``.  At w, the rows are the paths v -> w and
+    each arrow a out of w adds a block of columns, the paths v -> t(a), with
+    a 1 at each row's extension by a.  The elimination does not assume that
+    distinct paths have distinct extensions, which makes the rank the
+    number of paths that extend."""
+    index, q = algebra._path_index, algebra.quiver
+    dims = []
+    for w, block in enumerate(index.blocks[v]):
+        offset, width = {}, 0
+        for a in q.out_arrows[w]:
+            offset[a], width = width, width + len(index.blocks[v][q.arrows[a].target])
+        rows = [{offset[a] + index.position[j]: 1 for a, j in index.extensions[i].items()}
+                for i in block]
+        dims.append(_corank(rows, width))
+    return tuple(dims)
 
 
 def radical(rep):

@@ -1,8 +1,9 @@
 """Module constructions and tests that the package itself does not need.
 
 ``simple_module`` builds the simple module at a vertex, ``mod_socle``
-the quotient M / soc M, and ``is_surjective`` tests a morphism by the
-ranks of its vertex maps.  ``annihilator_dimension`` computes the right
+the quotient M / soc M, ``is_surjective`` tests a morphism by the ranks
+of its vertex maps, and ``commutes`` tests that its vertex maps commute
+with every arrow map.  ``annihilator_dimension`` computes the right
 annihilator of a module by exact elimination over the path basis, and
 ``is_faithful`` reads it; the tests compare the package's path-suffix
 faithfulness test with it.
@@ -27,6 +28,12 @@ def mod_socle(rep):
 def is_surjective(morphism):
     return all(linalg.rank(m, morphism.target.dims[v]) == morphism.target.dims[v]
                for v, m in enumerate(morphism.vertex_maps))
+
+
+def commutes(morphism):
+    f, m, n = morphism.vertex_maps, morphism.source, morphism.target
+    return all(linalg.mat_mul(m.maps[i], f[a.target]) == linalg.mat_mul(f[a.source], n.maps[i])
+               for i, a in enumerate(m.algebra.quiver.arrows))
 
 
 def annihilator_dimension(rep):

@@ -14,7 +14,7 @@ from quivalg.enumeration import (
     enumerate_monomial_algebras,
 )
 from quivalg.errors import NotAdmissibleError
-from quivalg.monomial import MonomialAlgebra, build
+from quivalg.monomial import MonomialAlgebra, _reduce_relations, build
 from quivalg.quiver import Arrow, Path, Quiver, is_connected
 
 
@@ -195,9 +195,19 @@ def build_every_candidate(bounds):
 
 @pytest.mark.parametrize("bounds", [(3, 3, 2), (2, 2, 3), (1, 2, 3)])
 def test_stream_matches_building_every_candidate(bounds):
+    """The stream builds its algebras without the constructor's checks; it
+    must give the presentations (relations in order) and the bases that
+    the constructor gives, because every relation set is already reduced."""
     bounds = CorpusBounds(*bounds)
     streamed = [(a, cached_canonical_form(a)) for a in enumerate_monomial_algebras(bounds)]
-    assert streamed == list(build_every_candidate(bounds))
+    built = list(build_every_candidate(bounds))
+    assert streamed == built
+    # __eq__ compares quivers and relations only
+    assert [a.basis for a, _ in streamed] == [b.basis for b, _ in built]
+    for quiver in connected_quivers(bounds.max_vertices, bounds.max_arrows):
+        for rels in admissible_relation_sets(quiver, bounds.max_relation_length):
+            paths = tuple(quiver.path_from_indices(w) for w in rels)
+            assert _reduce_relations(paths) == paths
 
 
 ORACLE_ALGEBRAS = [a for bounds in [(3, 3, 2), (2, 2, 3), (1, 3, 2)]

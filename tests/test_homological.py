@@ -30,6 +30,7 @@ from quivalg.representations import (
     quotient_by,
     regular_module,
     socle,
+    socle_dims,
 )
 
 
@@ -132,8 +133,9 @@ def test_projective_injective_table_matches_oracle():
 def test_lazy_coresolution_matches_envelope_chain(bounds, term_count):
     """The first two terms, decided from socles, against envelopes and
     cokernels built independently of the generator, for every algebra of a
-    small corpus and its opposite; and the socles of the P_v, read off the
-    path basis and by the elimination oracle, against a fresh socle."""
+    small corpus and its opposite; the socles of the P_v, read off the
+    path basis and by the elimination oracle, and the rank socles of the
+    cokernels N_1 and N_2 that the generator reads, against a fresh socle."""
     checked = 0
     for algebra in enumerate_monomial_algebras(bounds):
         for work in (algebra, algebra.opposite()):
@@ -149,6 +151,7 @@ def test_lazy_coresolution_matches_envelope_chain(bounds, term_count):
                 assert term.vertices == vertices
                 assert term.projective == homological_status(env).is_projective
                 module = quotient_by(env, emb.vertex_maps)[0]
+                assert socle_dims(module) == socle(module)[0].dims
             # the generator stops early only at a zero cokernel
             assert len(terms) == 2 or module.is_zero
             checked += len(terms)

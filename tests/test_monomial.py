@@ -272,6 +272,12 @@ def test_socle_criterion_against_representation_oracle(branching_algebra):
         assert (soc.total_dim == 1) is want
 
 
+def test_socle_dims_outside_the_quiver(branching_algebra):
+    for v in (-1, 5, 99):
+        assert branching_algebra.socle_dims(v) == (0,) * 5
+    assert branching_algebra.socle_dims(4) == (0, 0, 0, 0, 1)
+
+
 def test_socle_criterion_trivial_vertex():
     q = Quiver.from_arrows(1, [])
     a = build(q, [])

@@ -4,6 +4,7 @@ import pytest
 
 from module_oracles import (
     annihilator_dimension,
+    commutes,
     is_faithful,
     is_surjective,
     mod_socle,
@@ -11,8 +12,9 @@ from module_oracles import (
 )
 from quivalg.endo import EndomorphismContext
 from quivalg.errors import ZeroModuleError
+from quivalg.monomial import build
 from quivalg.nakayama import KupischSeries, kupisch_to_algebra
-from quivalg.quiver import QuiverShape
+from quivalg.quiver import Quiver, QuiverShape
 from quivalg.representations import (
     Morphism,
     Representation,
@@ -24,9 +26,11 @@ from quivalg.representations import (
     injective_module,
     projective_cover,
     projective_module,
+    projective_socle_dims,
     radical,
     regular_module,
     socle,
+    socle_dims,
     top,
 )
 
@@ -97,6 +101,28 @@ def test_socle_includes_loops(dual_numbers):
     p = projective_module(dual_numbers, 0)
     assert p.dims == (2,)
     assert socle(p)[0].dims == (1,)
+
+
+def test_rank_socles_with_a_loop(dual_numbers):
+    """K[x]/(x^2): x kills x alone, so each socle is the line of x."""
+    assert projective_socle_dims(dual_numbers, 0) == (1,)
+    assert dual_numbers.socle_dims(0) == (1,)
+    assert socle_dims(regular_module(dual_numbers)) == (1,)
+    assert socle_dims(injective_module(dual_numbers, 0)) == (1,)
+    cube = kupisch_to_algebra(KupischSeries(QuiverShape.CYCLIC, (3,)))  # K[x]/(x^3)
+    assert projective_socle_dims(cube, 0) == cube.socle_dims(0) == (1,)
+
+
+def test_rank_socles_with_parallel_arrows():
+    """Kronecker quiver a, b: 0 -> 1.  P_0 has basis e_0, a, b and socle
+    spanned by a and b; I_1 = D(A e_1) has dims (2, 1) and simple socle."""
+    kronecker = build(Quiver.from_arrows(2, [("a", 0, 1), ("b", 0, 1)]), [])
+    assert projective_socle_dims(kronecker, 0) == kronecker.socle_dims(0) == (0, 2)
+    assert projective_socle_dims(kronecker, 1) == kronecker.socle_dims(1) == (0, 1)
+    assert socle_dims(projective_module(kronecker, 0)) == (0, 2)
+    i1 = injective_module(kronecker, 1)
+    assert i1.dims == (2, 1) and socle_dims(i1) == socle(i1)[0].dims == (0, 1)
+    assert socle_dims(injective_module(kronecker, 0)) == (1, 0)
 
 
 def test_radical_is_arrow_image_span(branching_algebra):
@@ -236,8 +262,8 @@ def test_hom_examples(a2, branching_algebra):
 def test_hom_morphisms_commute(branching_algebra):
     m = projective_module(branching_algebra, 1)
     n = injective_module(branching_algebra, 3)
-    for f in hom_space(m, n):
-        f._check_commutes()
+    morphisms = hom_space(m, n)
+    assert morphisms and all(commutes(f) for f in morphisms)
 
 
 # -- duality ------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from quivalg import verify
-from quivalg.enumeration import CorpusBounds
+from quivalg import homological, verify
+from quivalg.cli import paper_example, paper_example_text, parse_algebra
+from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
 from quivalg.verify import (
     SUITES,
     VerificationReport,
@@ -177,6 +178,34 @@ def test_algebra_facts_reuse_the_streamed_canonical_form(monkeypatch):
 
     monkeypatch.setattr(enumeration, "canonical_form", recomputed)
     assert algebra_facts(algebra)["form"] == form.decode("ascii")
+
+
+def test_algebra_facts_decide_faithfulness_once_per_side(monkeypatch):
+    """Af and eA are each tested for faithfulness once; the double
+    centraliser check and the corner algebra reuse the cached answer, in
+    the facts pass and in the CLI's paper example alike."""
+    calls = []
+    real = homological._suffix_faithful
+    monkeypatch.setattr(homological, "_suffix_faithful",
+                        lambda a, verts: calls.append(verts) or real(a, verts))
+    algebra = parse_algebra(paper_example_text())
+    algebra_facts(algebra)
+    assert calls == [(0, 2), (3, 4)]
+    homological.double_centralizer_check(algebra)
+    homological.base_algebra(algebra)
+    assert len(calls) == 2
+    calls.clear()
+    paper_example()
+    assert sorted(calls) == [(0, 2), (3, 4)]
+    # one test per side that has projective-injectives
+    seen = set()
+    for algebra in enumerate_monomial_algebras(CorpusBounds(3, 2, 2)):
+        calls.clear()
+        algebra_facts(algebra)
+        assert len(calls) == sum(bool(homological.projective_injective_vertices(w))
+                                 for w in (algebra, algebra.opposite()))
+        seen.add(len(calls))
+    assert seen == {0, 2}
 
 
 def test_empty_families_fail():
