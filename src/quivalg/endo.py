@@ -7,12 +7,16 @@ x = e_i x e_j.  Two constructors produce them: the span of all paths of a
 monomial algebra between a chosen set of vertices, and End_B(M) for a
 basic module M with indecomposable summands whose endomorphism rings are
 local (morphism products are resolved exactly against hom-space bases).
+Tables hold nonzero products only.  End_B(M) is assembled from cached
+blocks of composites, one per summand triple, and a composite with an
+identity factor is read off the hom-space basis instead of computed.
 
 The product is written in function-composition order: for endomorphism
 algebras x * y applies y first, which makes End_B(B) literally carry the
 multiplication of B.
 """
 
+import itertools
 from fractions import Fraction
 
 from . import linalg
@@ -33,10 +37,11 @@ from .nakayama import KupischSeries
 class BasicAlgebra:
     """Finite dimensional basic algebra given by exact structure constants.
 
-    ``tags[x] = (i, j)`` records x in e_i C e_j, ``products[x][y]`` is the
-    sparse coefficient vector of x*y, ``radical`` lists the indices of a
-    basis of rad C, and ``payloads`` keeps the path or morphism each basis
-    element came from.
+    ``tags[x] = (i, j)`` records x in e_i C e_j.  ``products[x]`` is a
+    sparse row ``{y: ((z, c), ...)}`` holding the coefficient vector of
+    x*y for every y with x*y != 0, and no other y.  ``radical`` lists the
+    indices of a basis of rad C, and ``payloads`` keeps the path or
+    morphism each basis element came from.
     """
 
     def __init__(self, num_summands, idempotents, tags, products, radical, payloads=None):
@@ -69,29 +74,26 @@ class BasicAlgebra:
         rad_blocks = {}
         for x in self.radical:
             rad_blocks.setdefault(self.tags[x], []).append(x)
-        pos_in_block = {x: k for xs in rad_blocks.values() for k, x in enumerate(xs)}
+        # columns run backwards in a block: an echelon row's pivot is its last element
+        pos_in_block = {x: len(xs) - 1 - k for xs in rad_blocks.values() for k, x in enumerate(xs)}
         squares = {}  # block -> sparse vectors spanning that block of rad^2
         for x in self.radical:
-            for y in self.radical:
-                if self.tags[x][1] != self.tags[y][0]:
-                    continue
-                prod = self.products[x][y]
-                if not prod:
+            for y, prod in self.products[x].items():
+                if y not in rad_set:
                     continue
                 if any(z not in rad_set for z, _ in prod):
                     raise ValueError("rad * rad escaped the radical span")
                 key = (self.tags[x][0], self.tags[y][1])
                 squares.setdefault(key, []).append({pos_in_block[z]: c for z, c in prod})
-        arrows = []
-        generators = []
+        arrows, generators = [], []
         for key in sorted(rad_blocks):
             # a radical element is a generator when it is independent of
-            # rad^2 and of the radical elements before it
-            sq = squares.get(key, [])
-            units = [{k: 1} for k in range(len(rad_blocks[key]))]
-            for i in linalg.independent(sq + units):
-                if i >= len(sq):
-                    generators.append(rad_blocks[key][i - len(sq)])
+            # rad^2 and of the radical elements before it: when no echelon
+            # row of rad^2 ends at it
+            red = linalg.rref(squares.get(key, []), len(rad_blocks[key]))
+            for x in rad_blocks[key]:
+                if pos_in_block[x] not in red:
+                    generators.append(x)
                     arrows.append(Arrow(f"g{len(arrows)}", key[0], key[1]))
         quiver = Quiver(n, tuple(arrows))
         self._gabriel_cache = (quiver, tuple(generators))
@@ -114,13 +116,11 @@ def monomial_basic_algebra(algebra, vertices=None):
     index = {p: x for x, p in enumerate(paths)}
     tags = [(pos[p.source], pos[p.target]) for p in paths]
     idempotents = [index[algebra.quiver.trivial_path(v)] for v in verts]
+    leaving = {v: [(y, q) for y, q in enumerate(paths) if q.source == v] for v in verts}
     products = []
     for p in paths:
-        row = []
-        for q in paths:
-            r = algebra.multiply(p, q)
-            row.append(((index[r], Fraction(1)),) if r is not None else ())
-        products.append(row)
+        prods = ((y, algebra.multiply(p, q)) for y, q in leaving[p.target])
+        products.append({y: ((index[r], Fraction(1)),) for y, r in prods if r is not None})
     radical = [x for x, p in enumerate(paths) if p.length >= 1]
     return BasicAlgebra(len(verts), idempotents, tags, products, radical, payloads=paths)
 
@@ -142,7 +142,8 @@ class EndomorphismContext:
                 raise ValueError("zero modules cannot be summands")
         self._hom = {}
         self._hom_rrefs = {}
-        self._compose = {}
+        self._blocks = {}
+        self._isomorphic = {}
         self._top_data = {}
 
     def hom(self, a, b):
@@ -246,15 +247,32 @@ class EndomorphismContext:
     def compose_coords(self, dom, mid, cod, g_idx, f_idx):
         """Coordinates of f o g (g: U_dom -> U_mid first, then
         f: U_mid -> U_cod) over the basis of Hom(U_dom, U_cod)."""
-        key = (dom, mid, cod, g_idx, f_idx)
-        if key not in self._compose:
-            comp = self.hom(dom, mid)[g_idx].then(self.hom(mid, cod)[f_idx])
-            width, red = self._hom_rref(dom, cod)
-            coords = linalg.coordinates(red, width, self._flatten_morphism(comp))
-            if coords is None:
-                raise ValueError("composite escaped the hom space; corrupt input")
-            self._compose[key] = tuple(sorted(coords.items()))
-        return self._compose[key]
+        comp = self.hom(dom, mid)[g_idx].then(self.hom(mid, cod)[f_idx])
+        width, red = self._hom_rref(dom, cod)
+        coords = linalg.coordinates(red, width, self._flatten_morphism(comp))
+        if coords is None:
+            raise ValueError("composite escaped the hom space; corrupt input")
+        return tuple(sorted(coords.items()))
+
+    def composites(self, dom, mid, cod):
+        """The nonzero composites f o g of basis elements g of
+        Hom(U_dom, U_mid) and f of Hom(U_mid, U_cod), as (f index,
+        g index, coordinates) triples; an identity factor (index 0 of an
+        End(U_a) basis) gives the other factor's unit vector."""
+        key = (dom, mid, cod)
+        if key not in self._blocks:
+            self._blocks[key] = block = []
+            for f_idx, g_idx in itertools.product(range(len(self.hom(mid, cod))),
+                                                  range(len(self.hom(dom, mid)))):
+                if dom == mid and g_idx == 0:
+                    block.append((f_idx, g_idx, ((f_idx, 1),)))
+                elif mid == cod and f_idx == 0:
+                    block.append((f_idx, g_idx, ((g_idx, 1),)))
+                elif self.hom(dom, cod):  # else every composite is zero
+                    coords = self.compose_coords(dom, mid, cod, g_idx, f_idx)
+                    if coords:
+                        block.append((f_idx, g_idx, coords))
+        return self._blocks[key]
 
     def is_isomorphic(self, a, b):
         """Complete for indecomposable U_a, U_b: the non-isomorphisms form a
@@ -264,7 +282,9 @@ class EndomorphismContext:
             return False
         if a == b:
             return True
-        return any(f.is_isomorphism() for f in self.hom(a, b))
+        if (a, b) not in self._isomorphic:
+            self._isomorphic[(a, b)] = any(f.is_isomorphism() for f in self.hom(a, b))
+        return self._isomorphic[(a, b)]
 
     def endo_algebra(self, subset):
         """End of the direct sum of the universe modules listed in
@@ -275,32 +295,27 @@ class EndomorphismContext:
                 if self.is_isomorphic(subset[i], subset[j]):
                     raise NotBasicError(
                         f"summands {subset[i]} and {subset[j]} are isomorphic")
-        entries = []  # (tag, universe pair, index within hom basis)
-        for bi in range(len(subset)):
-            for bj in range(len(subset)):
-                for k in range(len(self.hom(subset[bj], subset[bi]))):
-                    entries.append(((bi, bj), (subset[bj], subset[bi]), k))
-        index = {}
-        for x, (tag, pair, k) in enumerate(entries):
-            index[(tag, k)] = x
-        products = []
-        for (tag_x, pair_x, kx) in entries:
-            row = []
-            for (tag_y, pair_y, ky) in entries:
-                if tag_x[1] != tag_y[0]:
-                    row.append(())
-                    continue
-                dom, mid, cod = pair_y[0], pair_y[1], pair_x[1]
-                coords = self.compose_coords(dom, mid, cod, ky, kx)
-                out_tag = (tag_x[0], tag_y[1])
-                row.append(tuple((index[(out_tag, z)], c) for z, c in coords))
-            products.append(row)
-        idempotents = [index[((i, i), 0)] for i in range(len(subset))]
-        radical = [x for x, (tag, pair, k) in enumerate(entries)
-                   if tag[0] != tag[1] or k > 0]
-        payloads = [self.hom(pair[0], pair[1])[k] for (tag, pair, k) in entries]
-        return BasicAlgebra(len(subset), idempotents, tags=[e[0] for e in entries],
-                            products=products, radical=radical, payloads=payloads)
+        n = len(subset)
+        start = {}  # tag (i, j) -> index of the first basis element of e_i C e_j
+        tags, payloads = [], []
+        for bi in range(n):
+            for bj in range(n):
+                homs = self.hom(subset[bj], subset[bi])
+                if homs:
+                    start[(bi, bj)] = len(tags)
+                    tags += [(bi, bj)] * len(homs)
+                    payloads += homs
+        products = [{} for _ in tags]
+        for (bi, bm), x0 in start.items():
+            for bj in range(n):
+                if (bm, bj) in start:
+                    y0, z0 = start[(bm, bj)], start.get((bi, bj))
+                    for kx, ky, coords in self.composites(subset[bj], subset[bm], subset[bi]):
+                        products[x0 + kx][y0 + ky] = tuple((z0 + z, c) for z, c in coords)
+        idempotents = [start[(i, i)] for i in range(n)]
+        radical = [x for x, tag in enumerate(tags) if x != start[tag] or tag[0] != tag[1]]
+        return BasicAlgebra(n, idempotents, tags=tags, products=products,
+                            radical=radical, payloads=payloads)
 
 
 def endomorphism_algebra(summands):
@@ -329,20 +344,19 @@ def is_nakayama_algebra(c):
 def is_qf2_algebra(c):
     """Simple right socle for every e_i C and simple left socle for every
     C e_i, computed against generators of the radical."""
-    gens = c.radical_generators()
+    gens = {g: gi for gi, g in enumerate(c.radical_generators())}
     d = c.dimension
+    # x is in the socle when x g = 0 (g x = 0 on the left) for every
+    # generator g; the products fill disjoint column ranges
+    right = [{gens[g] * d + z: coeff for g, prod in row.items() if g in gens
+              for z, coeff in prod} for row in c.products]
+    left = [{} for _ in range(d)]
+    for g, gi in gens.items():
+        for x, prod in c.products[g].items():
+            left[x].update((gi * d + z, coeff) for z, coeff in prod)
     for i in range(c.num_summands):
-        for side in ("right", "left"):
-            idxs = c.right_block(i) if side == "right" else c.left_block(i)
-            # x is in the socle when x g = 0 (g x = 0 on the left) for
-            # every generator g; the products fill disjoint column ranges
-            rows = []
-            for x in idxs:
-                rows.append({gi * d + z: coeff for gi, g in enumerate(gens)
-                             for z, coeff in (c.products[x][g] if side == "right"
-                                              else c.products[g][x])})
-            soc_dim = len(idxs) - linalg.rank(rows, len(gens) * d)
-            if soc_dim != 1:
+        for rows in ([right[x] for x in c.right_block(i)], [left[x] for x in c.left_block(i)]):
+            if len(rows) - linalg.rank(rows, len(gens) * d) != 1:
                 return False
     return True
 

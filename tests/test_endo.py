@@ -14,8 +14,16 @@ from quivalg.endo import (
     kupisch_of_endo,
     monomial_basic_algebra,
 )
+from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
 from quivalg.monomial import Side
-from quivalg.nakayama import KupischSeries, all_uniserial_ids, uniserial_module
+from quivalg.nakayama import (
+    KupischSeries,
+    all_uniserial_ids,
+    enumerate_kupisch,
+    gen_cogen_candidate_ids,
+    kupisch_to_algebra,
+    uniserial_module,
+)
 from quivalg.quiver import QuiverShape
 from quivalg.representations import direct_sum, hom_space, projective_module
 
@@ -110,7 +118,7 @@ def test_idempotents_are_orthogonal_and_complete(dual_numbers):
     c = auslander_of_dual_numbers(dual_numbers)
     for i, ei in enumerate(c.idempotents):
         for j, ej in enumerate(c.idempotents):
-            prod = dict(c.products[ei][ej])
+            prod = dict(c.products[ei].get(ej, ()))
             if i == j:
                 assert prod == {ei: Fraction(1)}
             else:
@@ -129,7 +137,7 @@ def test_structure_constants_associative(dual_numbers):
             for y, cy in enumerate(vy):
                 if not cy:
                     continue
-                for z, cz in c.products[x][y]:
+                for z, cz in c.products[x].get(y, ()):
                     out[z] += cx * cy * cz
         return out
 
@@ -147,7 +155,7 @@ def test_radical_is_nilpotent_ideal(dual_numbers):
     # products of radical elements stay inside the radical span
     for x in rad:
         for y in rad:
-            for z, coeff in c.products[x][y]:
+            for z, coeff in c.products[x].get(y, ()):
                 assert z in rad
     # nilpotency: iterated products die out
     layer = {(x,) for x in rad}
@@ -155,7 +163,7 @@ def test_radical_is_nilpotent_ideal(dual_numbers):
         nxt = set()
         for word in layer:
             for y in rad:
-                prod = c.products[word[-1]][y]
+                prod = c.products[word[-1]].get(y, ())
                 if prod:
                     nxt.add(word + (y,))
         if not nxt:
@@ -184,3 +192,82 @@ def test_context_caching_consistency(cyclic_32):
     assert full.dimension == again.dimension
     assert full.tags == again.tags
     assert full.products == again.products
+
+
+def full_universe_contexts(max_n, max_c):
+    """(context, universe size) for the full uniserial universe of every
+    Kupisch series within the bounds."""
+    for ks in enumerate_kupisch(max_n, max_c):
+        algebra = kupisch_to_algebra(ks)
+        reps = [uniserial_module(algebra, t, l) for t, l in all_uniserial_ids(algebra)]
+        yield EndomorphismContext(reps), len(reps)
+
+
+def test_sparse_products_match_composition_oracle():
+    """Every composable pair of basis morphisms, identity factors included,
+    against its composite's coordinates computed by composition, over the
+    full uniserial universes of small Kupisch series; no row stores a zero
+    product."""
+    checked = identities = 0
+    for ctx, size in full_universe_contexts(3, 4):
+        c = ctx.endo_algebra(range(size))
+        first = {}
+        for x, tag in enumerate(c.tags):
+            first.setdefault(tag, x)
+        assert all(prod for row in c.products for prod in row.values())
+        for x, (bi, bm) in enumerate(c.tags):
+            for y, (bm2, bj) in enumerate(c.tags):
+                if bm2 != bm:
+                    assert y not in c.products[x]
+                    continue
+                kx, ky = x - first[(bi, bm)], y - first[(bm, bj)]
+                coords = ctx.compose_coords(bj, bm, bi, ky, kx)
+                want = tuple((first[(bi, bj)] + z, cz) for z, cz in coords)
+                assert c.products[x].get(y, ()) == want
+                checked += 1
+                identities += (bi == bm and kx == 0) or (bm == bj and ky == 0)
+    assert checked > identities > 0
+
+
+def test_composites_are_computed_once_and_never_for_identities(monkeypatch):
+    """Within one context every composite is computed at most once, none
+    with an identity factor, and a repeated subset composes nothing."""
+    calls = []
+    compose = EndomorphismContext.compose_coords
+
+    def counting(self, dom, mid, cod, g_idx, f_idx):
+        calls.append((id(self), dom, mid, cod, g_idx, f_idx))
+        return compose(self, dom, mid, cod, g_idx, f_idx)
+
+    monkeypatch.setattr(EndomorphismContext, "compose_coords", counting)
+    for ctx, size in full_universe_contexts(3, 4):
+        pos = {u: i for i, u in enumerate(all_uniserial_ids(ctx.algebra))}
+        subsets = [[pos[u] for u in cand]
+                   for cand in gen_cogen_candidate_ids(ctx.algebra, full_universe=True)]
+        for subset in subsets + [list(range(size))]:
+            ctx.endo_algebra(subset)
+        before = len(calls)
+        for subset in subsets:
+            ctx.endo_algebra(subset)
+        assert len(calls) == before
+    assert calls and len(set(calls)) == len(calls)
+    for _, dom, mid, cod, g_idx, f_idx in calls:
+        assert not (dom == mid and g_idx == 0) and not (mid == cod and f_idx == 0)
+
+
+def test_corner_products_match_the_multiply_table():
+    """The sparse rows of every corner algebra fAf of the (3,2,2) corpus,
+    over every nonempty vertex set, against ``multiply`` on every pair of
+    basis paths."""
+    for algebra in enumerate_monomial_algebras(CorpusBounds(3, 2, 2)):
+        n = algebra.quiver.vertex_count
+        for k in range(1, n + 1):
+            for verts in itertools.combinations(range(n), k):
+                c = monomial_basic_algebra(algebra, verts)
+                index = {p: x for x, p in enumerate(c.payloads)}
+                assert all(prod for row in c.products for prod in row.values())
+                for x, p in enumerate(c.payloads):
+                    for y, q in enumerate(c.payloads):
+                        r = algebra.multiply(p, q)
+                        want = ((index[r], Fraction(1)),) if r is not None else ()
+                        assert c.products[x].get(y, ()) == want

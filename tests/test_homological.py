@@ -256,7 +256,7 @@ def test_base_algebra_cyclic_32(cyclic_32):
     assert base.dimension == 2
     assert len(base.radical) == 1
     r = base.radical[0]
-    assert base.products[r][r] == ()  # rad^2 = 0
+    assert base.products[r].get(r, ()) == ()  # rad^2 = 0
     g = gabriel_quiver(base)
     assert g.vertex_count == 1 and len(g.arrows) == 1
 
