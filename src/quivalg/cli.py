@@ -46,7 +46,6 @@ from .nakayama import (
     uniserial_module,
 )
 from .quiver import Quiver, shape_classify
-from .representations import injective_module
 from .verify import DEFAULT_CORPORA, DEFAULT_MAX_C, DEFAULT_MAX_N, SUITES, run_suites
 
 
@@ -277,8 +276,9 @@ def _cmd_domdim(algebra, cutoff):
 def _cmd_coresolve(algebra, terms):
     # asking for one term past the limit tells termination from truncation
     produced = list(islice(injective_coresolution(algebra), terms + 1))
+    blocks = algebra._path_index.blocks  # dim I_s at w: the paths w -> s
     for k, term in enumerate(produced[:terms]):
-        dims = tuple(map(sum, zip(*(injective_module(algebra, s).dims for s in term.vertices))))
+        dims = tuple(sum(len(blocks[w][s]) for s in term.vertices) for w in range(len(blocks)))
         print(f"I_{k}: dims {dims} total {sum(dims)} "
               f"projective={'yes' if term.projective else 'no'}")
     if len(produced) > terms:

@@ -5,30 +5,24 @@ from their socle dimension vectors read off the path basis, and kept as a
 per-vertex table; selfinjectivity, the minimal faithful projective-injective
 module and the projectivity of coresolution terms are all read from it.
 The minimal injective coresolution of the regular module is generated
-lazily: each term is decided from a socle, and exact envelopes and
-cokernels are built only to reach the next term; the dominant dimension
-counts its leading projective terms.  The corner algebra fAf of the
+lazily as the dual of the minimal projective resolution of D(A) over the
+opposite algebra: the first term is read off the projective socles, and
+each later one off the top of a syzygy, held as sparse rows over the path
+coordinates of the previous projective; the dominant dimension counts its
+leading projective terms.  The corner algebra fAf of the
 minimal faithful projective-injective left module and the commutant of its
 right action on Af give the double centraliser check.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import islice
 
 from . import linalg
 from .endo import monomial_basic_algebra
 from .errors import DomDimZeroError
 from .monomial import Side
-from .representations import (
-    commutation_equations,
-    envelope_dim,
-    injective_envelope,
-    quotient_by,
-    regular_module,
-    socle_dims,
-)
+from .representations import commutation_equations, envelope_dim
 
 
 @dataclass(frozen=True)
@@ -78,9 +72,63 @@ def projective_injective_vertices(algebra):
     return algebra._cache[key]
 
 
-# I_k is the sum of the I_s over ``vertices``; ``envelope()`` returns
-# (I_k, embedding N_k -> I_k, vertices), built on the first call only
-CoresolutionTerm = namedtuple("CoresolutionTerm", ["vertices", "projective", "envelope"])
+# the I_s that I_k sums, sorted by s, and whether I_k is projective
+CoresolutionTerm = namedtuple("CoresolutionTerm", ["vertices", "projective"])
+
+
+def _path_action(extensions):
+    """The action of an arrow of B on rows over the path coordinates (g, x)
+    of a sum of projectives e_v B: x goes to its extension or to zero."""
+    return lambda row, a: {(g, extensions[x][a]): c for (g, x), c in row.items()
+                           if a in extensions[x]}
+
+
+def _syzygy(opposite, generators, act):
+    """Generators, as (vertex, row) pairs sorted by vertex, of the syzygy of
+    the module M over B = ``opposite`` generated by ``generators``, (v, row
+    of M_v) pairs, where ``act(row, a)`` is the action of the arrow a.
+
+    The cover sends the path x of the g-th summand e_v B to its generator's
+    row times x; at z its kernel is the left kernel of those rows, kept as
+    rows over the path coordinates (g, x).  The kernel rows lead (least
+    coordinate) with distinct coordinates, so those leading outside the
+    pivots of the radical, the rows y's in-arrows bring in, are independent
+    modulo it and complete it."""
+    index, quiver = opposite._path_index, opposite.quiver
+    n = quiver.vertex_count
+    kernel = [[] for _ in range(n)]  # a path sent to zero is a kernel row of its own
+    images = [[] for _ in range(n)]  # per vertex z: (path coordinate, nonzero row of M_z)
+    for g, (v, row) in enumerate(generators):
+        vec = {v: row}  # e_v is basis path v
+        for i in index.sources[v]:  # in basis order, so prefixes come first
+            for a, j in index.extensions[i].items():
+                vec[j] = act(vec[i], a)
+        for z, block in enumerate(index.blocks[v]):
+            for x in block:
+                if vec[x]:
+                    images[z].append(((g, x), vec[x]))
+                else:
+                    kernel[z].append({(g, x): 1})
+    width = [len(rows) + len(pairs) for rows, pairs in zip(kernel, images)]
+    for z, pairs in enumerate(images):
+        # decreasing coordinates: a kernel vector is 1 at its free column and
+        # nonzero elsewhere only at earlier columns, so it leads there
+        pairs.reverse()
+        columns = {}  # c M = 0 is one equation per coordinate of M
+        for local, (_, row) in enumerate(pairs):
+            for c, x in row.items():
+                columns.setdefault(c, {})[local] = x
+        kernel[z] += [{pairs[local][0]: x for local, x in vec.items()}
+                      for vec in linalg.nullspace(list(columns.values()), len(pairs))]
+    along = _path_action(index.extensions)
+    syzygy_generators = []
+    for y, rows in enumerate(kernel):
+        if rows:
+            radical = [along(row, a) for a in quiver.in_arrows[y]
+                       for row in kernel[quiver.arrows[a].source]]
+            pivots = linalg.rref(radical, width[y])
+            syzygy_generators += [(y, row) for row in rows if min(row) not in pivots]
+    return syzygy_generators
 
 
 def injective_coresolution(algebra):
@@ -88,30 +136,32 @@ def injective_coresolution(algebra):
     regular module, where N_0 = A and N_{k+1} is the cokernel of
     N_k -> I_k; stops at a zero cokernel.
 
-    A term is read off soc(N_k): its vertices are the socle vertices s
-    with multiplicity.  soc(A) is the sum of the socles of the P_v, read
-    off the path basis, and a later socle is read off ranks.  I_s = D(P_s)
-    for P_s projective over the opposite algebra, and D takes injective
-    modules over the opposite algebra to projective ones, so I_k is
-    projective exactly when every s lies in the opposite algebra's
-    projective-injective table.  The
-    envelope of N_k and N_{k+1} are built only when the next term is
-    requested.
+    A term's vertices are those of soc(N_k), with multiplicity, and
+    I_s = D(e_s B) for B the opposite algebra.  soc(A) is read off the
+    path basis.  Dually, D(N_k) is the k-th syzygy of D(A) over B and
+    soc(N_k) = D(top D(N_k)), so each later term is the top of a syzygy,
+    computed only when that term is requested; no module is built.  D
+    takes injective B-modules to projective A-modules, so I_k is projective
+    exactly when every s lies in B's projective-injective table.
     """
-    opposite_table = projective_injective_vertices(algebra.opposite())
+    opposite = algebra.opposite()
+    opposite_table = projective_injective_vertices(opposite)
     n = algebra.quiver.vertex_count
     socle = [sum(d) for d in zip(*(algebra.socle_dims(v) for v in range(n)))]
-    build = lambda: injective_envelope(regular_module(algebra))  # N_0 = A only if needed
-    while True:
-        vertices = tuple(s for s, d in enumerate(socle) for _ in range(d))
-        envelope = cache(build)
-        yield CoresolutionTerm(vertices, all(s in opposite_table for s in vertices), envelope)
-        env, emb, _ = envelope()
-        module = quotient_by(env, emb.vertex_maps)[0]
-        if module.is_zero:
-            return
-        socle = socle_dims(module)
-        build = partial(injective_envelope, module)
+    vertices = tuple(s for s, d in enumerate(socle) for _ in range(d))
+    yield CoresolutionTerm(vertices, all(s in opposite_table for s in vertices))
+    # D(A) has the dual basis p* of the paths p of A, generated by the m*
+    # for the paths m with no nonzero extension; p* times an arrow a is q*
+    # when p = qa, and 0 otherwise
+    index = algebra._path_index
+    parent = {(j, a): i for i, ext in enumerate(index.extensions) for a, j in ext.items()}
+    generators = [(s, {m: 1}) for s in range(n) for m in index.targets[s]
+                  if not index.extensions[m]]
+    act = lambda row, a: {parent[p, a]: c for p, c in row.items() if (p, a) in parent}
+    while generators := _syzygy(opposite, generators, act):
+        act = _path_action(opposite._path_index.extensions)
+        vertices = tuple(v for v, _ in generators)
+        yield CoresolutionTerm(vertices, all(s in opposite_table for s in vertices))
 
 
 def is_selfinjective(algebra):
@@ -124,9 +174,9 @@ def dominant_dimension(algebra, cutoff=12):
     coresolution; 0 when the first term is not projective, infinite for
     selfinjective algebras and when the coresolution ends within the cutoff
     with all terms projective, a lower bound when ``cutoff`` terms are all
-    projective.  No envelope is built for a non-projective term or for the
-    cutoff-th term: a term is decided from its socle, and its envelope is
-    built only to reach the next one."""
+    projective.  No syzygy is computed past a non-projective term or past
+    the cutoff-th term: the first term is read off the projective socles,
+    and each syzygy only to reach the next term."""
     # A is selfinjective exactly when its opposite is, and the opposite's
     # table is the one the coresolution reads
     if is_selfinjective(algebra.opposite()):

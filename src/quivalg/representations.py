@@ -10,9 +10,12 @@ A morphism is a family of per-vertex matrices commuting with every arrow
 map.  Both keep the matrices they are given, without copying, after a
 shape check.  Socles, tops, covers, envelopes and hom spaces are all
 computed by exact Gaussian elimination; no floating point is involved
-anywhere.  Socle dimension vectors need only ranks of the outgoing arrow
-maps side by side; for P_v, the elimination oracle of the socles read off
-the path basis, those maps come straight from the path index.
+anywhere.  The package itself builds modules only for the uniserials of
+Nakayama algebras, their hom spaces and endomorphism algebras; the
+projectives, socles, covers, envelopes, quotients and the projective and
+injective status are kept as the tests' elimination oracles.  The socle
+dimension vectors of the P_v, the oracle of the socles read off the path
+basis, are ranks of arrow-action matrices read off the path index.
 """
 
 from collections import namedtuple
@@ -121,16 +124,6 @@ def dual_representation(rep):
     return Representation(opp, rep.dims, maps)
 
 
-def injective_module(algebra, v):
-    """The indecomposable injective D(A e_v): dual of the opposite
-    projective at v."""
-    key = ("inj", v)
-    if key not in algebra._cache:
-        p_op = projective_module(algebra.opposite(), v)
-        algebra._cache[key] = dual_representation(p_op)
-    return algebra._cache[key]
-
-
 def direct_sum(reps):
     if not reps:
         raise ValueError("direct_sum needs at least one summand")
@@ -147,15 +140,7 @@ def direct_sum(reps):
     return Representation(algebra, dims, maps)
 
 
-def regular_module(algebra):
-    key = ("regular",)
-    if key not in algebra._cache:
-        algebra._cache[key] = direct_sum(
-            [projective_module(algebra, v) for v in range(algebra.quiver.vertex_count)])
-    return algebra._cache[key]
-
-
-# -- socle, radical, top, quotients -------------------------------------------
+# -- socle, top, quotients ---------------------------------------------------
 
 
 def radical_rows(rep, v):
@@ -177,25 +162,6 @@ def socle(rep):
     return sub, Morphism(sub, rep, bases)
 
 
-def _corank(rows, width):  # dim {x : x M = 0}; a zero matrix M needs no elimination
-    return len(rows) - (linalg.rank(rows, width) if any(rows) else 0)
-
-
-def socle_dims(rep):
-    """Socle dimension vector of M by rank: dim M_w minus the rank of the
-    arrow maps out of w placed side by side."""
-    q = rep.algebra.quiver
-    dims = []
-    for w, d in enumerate(rep.dims):
-        rows, width = [{} for _ in range(d)], 0
-        for a in q.out_arrows[w]:
-            for row, mrow in zip(rows, rep.maps[a]):
-                row.update({width + c: x for c, x in mrow.items()})
-            width += rep.dims[q.arrows[a].target]
-        dims.append(_corank(rows, width))
-    return tuple(dims)
-
-
 def projective_socle_dims(algebra, v):
     """Socle dimension vector of P_v by elimination, uncached: the oracle of
     ``MonomialAlgebra.socle_dims``.  At w, the rows are the paths v -> w and
@@ -211,25 +177,9 @@ def projective_socle_dims(algebra, v):
             offset[a], width = width, width + len(index.blocks[v][q.arrows[a].target])
         rows = [{offset[a] + index.position[j]: 1 for a, j in index.extensions[i].items()}
                 for i in block]
-        dims.append(_corank(rows, width))
+        # a zero matrix needs no elimination
+        dims.append(len(rows) - (linalg.rank(rows, width) if any(rows) else 0))
     return tuple(dims)
-
-
-def radical(rep):
-    """The submodule generated by all arrow images; returns (sub, inclusion)."""
-    algebra = rep.algebra
-    q = algebra.quiver
-    reds = [linalg.rref(radical_rows(rep, v), rep.dims[v]) for v in range(q.vertex_count)]
-    basis_rows = [list(red.values()) for red in reds]
-    dims = [len(red) for red in reds]
-    maps = []
-    for ai, a in enumerate(q.arrows):
-        images = linalg.mat_mul(basis_rows[a.source], rep.maps[ai])
-        # coordinates over an RREF basis are the values at its pivots
-        maps.append([{k: img[p] for k, p in enumerate(reds[a.target]) if p in img}
-                     for img in images])
-    sub = Representation(algebra, dims, maps)
-    return sub, Morphism(sub, rep, basis_rows)
 
 
 def quotient_by(rep, rows_per_vertex):

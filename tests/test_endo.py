@@ -240,7 +240,9 @@ def test_composites_are_computed_once_and_never_for_identities(monkeypatch):
         return compose(self, dom, mid, cod, g_idx, f_idx)
 
     monkeypatch.setattr(EndomorphismContext, "compose_coords", counting)
+    contexts = []  # kept alive, so that no two contexts share an id
     for ctx, size in full_universe_contexts(3, 4):
+        contexts.append(ctx)
         pos = {u: i for i, u in enumerate(all_uniserial_ids(ctx.algebra))}
         subsets = [[pos[u] for u in cand]
                    for cand in gen_cogen_candidate_ids(ctx.algebra, full_universe=True)]

@@ -2,7 +2,13 @@ from itertools import islice
 
 import pytest
 
-from module_oracles import is_surjective
+from module_oracles import (
+    coresolution_oracle,
+    injective_module,
+    is_surjective,
+    regular_module,
+    socle_dims,
+)
 from quivalg import homological
 from quivalg.endo import gabriel_quiver, is_nakayama_algebra
 from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
@@ -18,19 +24,15 @@ from quivalg.homological import (
     projective_injective_vertices,
 )
 from quivalg.monomial import Side, build
-from quivalg.nakayama import KupischSeries, kupisch_to_algebra
+from quivalg.nakayama import KupischSeries, enumerate_kupisch, kupisch_to_algebra
 from quivalg.quiver import Quiver, QuiverShape
 from quivalg.representations import (
     envelope_dim,
     homological_status,
-    injective_envelope,
-    injective_module,
     projective_module,
     projective_socle_dims,
     quotient_by,
-    regular_module,
     socle,
-    socle_dims,
 )
 
 
@@ -47,49 +49,58 @@ def coresolution(algebra, limit=8):
     return list(islice(injective_coresolution(algebra), limit))
 
 
-def envelopes(terms):
-    return [term.envelope()[0] for term in terms]
+def with_oracle(algebra, limit=8):
+    """The first terms of the coresolution and of the exact envelope chain,
+    after checking that both sum the same I_s in each term and stop
+    together."""
+    terms, chain = coresolution(algebra, limit), list(islice(coresolution_oracle(algebra), limit))
+    assert [t.vertices for t in terms] == [t.vertices for t in chain]
+    return terms, chain
+
+
+def envelopes(chain):
+    return [term.envelope[0] for term in chain]
 
 
 def test_coresolution_a2(a2):
-    terms = coresolution(a2)
-    assert [t.dims for t in envelopes(terms)] == [(2, 2), (1, 0)]
+    terms, chain = with_oracle(a2)
+    assert [t.dims for t in envelopes(chain)] == [(2, 2), (1, 0)]
     assert [term.projective for term in terms] == [True, False]
-    assert homological_status(terms[0].envelope()[0]).is_projective
-    assert not homological_status(terms[1].envelope()[0]).is_projective
+    assert homological_status(chain[0].envelope[0]).is_projective
+    assert not homological_status(chain[1].envelope[0]).is_projective
 
 
 def test_coresolution_semisimple(semisimple):
-    terms = coresolution(semisimple)
-    assert [t.dims for t in envelopes(terms)] == [(1,)]
+    _, chain = with_oracle(semisimple)
+    assert [t.dims for t in envelopes(chain)] == [(1,)]
 
 
 def test_coresolution_cyclic_32(cyclic_32):
-    terms = coresolution(cyclic_32, 3)
-    assert [t.dims for t in envelopes(terms)] == [(4, 2), (2, 1), (1, 1)]
-    flags = [homological_status(t).is_projective for t in envelopes(terms)]
+    terms, chain = with_oracle(cyclic_32, 3)
+    assert [t.dims for t in envelopes(chain)] == [(4, 2), (2, 1), (1, 1)]
+    flags = [homological_status(t).is_projective for t in envelopes(chain)]
     assert flags == [term.projective for term in terms] == [True, True, False]
 
 
 def test_all_coresolution_terms_injective(branching_algebra, cyclic_32, a2):
     for a in (branching_algebra, cyclic_32, a2):
-        for term in envelopes(coresolution(a, 4)):
+        for term in envelopes(with_oracle(a, 4)[1]):
             assert homological_status(term).is_injective
 
 
 def test_embeddings_and_cokernels_are_exact(branching_algebra, cyclic_32, a2):
     for a in (branching_algebra, cyclic_32, a2):
-        terms = coresolution(a, 4)
-        for k, term in enumerate(terms):
-            env, emb, vertices = term.envelope()
+        terms, chain = with_oracle(a, 4)
+        for k, term in enumerate(chain):
+            env, emb, vertices = term.envelope
             assert emb.target is env and emb.is_injective()
-            assert vertices == term.vertices
+            assert vertices == terms[k].vertices
             coker, pr = quotient_by(env, emb.vertex_maps)
             assert is_surjective(pr)
-            if k + 1 < len(terms):
+            if k + 1 < len(chain):
                 # the next term embeds the cokernel of this one
-                assert terms[k + 1].envelope()[1].source == coker
-            elif len(terms) < 4:
+                assert chain[k + 1].envelope[1].source == coker
+            elif len(chain) < 4:
                 assert coker.is_zero
 
 
@@ -128,14 +139,14 @@ def test_projective_injective_table_matches_oracle():
     assert domdims == {"0", "1", "2", "3", "infinity"}
 
 
-@pytest.mark.parametrize("bounds,term_count", [(CorpusBounds(3, 3, 2), 452),
-                                               (CorpusBounds(2, 2, 3), 250)])
+@pytest.mark.parametrize("bounds,term_count", [(CorpusBounds(3, 3, 2), 752),
+                                               (CorpusBounds(2, 2, 3), 464)])
 def test_lazy_coresolution_matches_envelope_chain(bounds, term_count):
-    """The first two terms, decided from socles, against envelopes and
-    cokernels built independently of the generator, for every algebra of a
-    small corpus and its opposite; the socles of the P_v, read off the
+    """The first four terms, the first decided from socles and the later
+    ones from syzygies, against the exact envelope chain, for every algebra
+    of a small corpus and its opposite; the socles of the P_v, read off the
     path basis and by the elimination oracle, and the rank socles of the
-    cokernels N_1 and N_2 that the generator reads, against a fresh socle."""
+    cokernels N_1, ..., N_4, against a fresh socle."""
     checked = 0
     for algebra in enumerate_monomial_algebras(bounds):
         for work in (algebra, algebra.opposite()):
@@ -143,49 +154,87 @@ def test_lazy_coresolution_matches_envelope_chain(bounds, term_count):
                 soc = socle(projective_module(work, v))[0].dims
                 assert projective_socle_dims(work, v) == soc
                 assert work.socle_dims(v) == soc
-            terms = coresolution(work, 2)
-            module = regular_module(work)
-            for term in terms:
-                assert not module.is_zero
-                env, emb, vertices = injective_envelope(module)
-                assert term.vertices == vertices
-                assert term.projective == homological_status(env).is_projective
-                module = quotient_by(env, emb.vertex_maps)[0]
-                assert socle_dims(module) == socle(module)[0].dims
+            terms, chain = with_oracle(work, 4)
+            for term, step in zip(terms, chain):
+                assert term.projective == step.projective
+                assert socle_dims(step.cokernel) == socle(step.cokernel)[0].dims
             # the generator stops early only at a zero cokernel
-            assert len(terms) == 2 or module.is_zero
+            assert len(terms) == 4 or chain[-1].cokernel.is_zero
             checked += len(terms)
     assert checked == term_count
 
 
 def test_coresolution_builds_envelopes_lazily(monkeypatch, cyclic_32):
-    built = []
+    steps = []
+    syzygy = homological._syzygy
 
-    def counting(module):
-        built.append(module)
-        return injective_envelope(module)
+    def counting(*args):
+        steps.append(args)
+        return syzygy(*args)
 
-    monkeypatch.setattr(homological, "injective_envelope", counting)
+    monkeypatch.setattr(homological, "_syzygy", counting)
     # no projective-injective at all: the first term decides domdim 0
-    # without an envelope, and the regular module is never built
+    # without a syzygy, and the regular module is never built
     q = Quiver.from_arrows(3, [("a", 0, 1), ("b", 2, 1)])
     a = build(q, [])
     assert dominant_dimension(a) == DomDim.finite(0)
-    assert built == [] and ("regular",) not in a._cache
-    # terms 0 and 1 are projective and term 2 is not: two envelopes, and
-    # none for the cutoff-th term
+    assert steps == [] and ("regular",) not in a._cache
+    # terms 0 and 1 are projective and term 2 is not: two syzygies, and
+    # none past the cutoff-th term
     assert dominant_dimension(cyclic_32) == DomDim.finite(2)
-    assert len(built) == 2
-    built.clear()
+    assert len(steps) == 2
+    steps.clear()
     assert dominant_dimension(cyclic_32, cutoff=2) == DomDim.at_least(2)
-    assert len(built) == 1
-    # an envelope asked for by a consumer is the one the generator reuses
-    built.clear()
+    assert len(steps) == 1
+    # each syzygy is computed only when the term after it is requested
+    steps.clear()
     terms = injective_coresolution(cyclic_32)
-    first = next(terms)
-    assert first.envelope() is first.envelope()
     next(terms)
-    assert len(built) == 1
+    assert steps == []
+    next(terms)
+    assert len(steps) == 1
+
+
+def two_loop_algebra():
+    """One vertex, two loops, radical square zero."""
+    q = Quiver.from_arrows(1, [("x", 0, 0), ("y", 0, 0)])
+    return build(q, [q.path(w) for w in (["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"])])
+
+
+def test_syzygy_loop_matches_envelope_chain_for_eight_terms(branching_algebra):
+    """Eight terms, vertices and projective flags, against the exact
+    envelope chain, for every Kupisch series with at most five vertices
+    and lengths up to six and its opposite, the paper's example and an
+    algebra whose multiplicities double."""
+    works = [branching_algebra, branching_algebra.opposite(), two_loop_algebra()]
+    for ks in enumerate_kupisch(5, 6):
+        algebra = kupisch_to_algebra(ks)
+        works += [algebra, algebra.opposite()]
+    assert len(works) == 335
+    for work in works:
+        terms, chain = with_oracle(work)
+        assert [t.projective for t in terms] == [t.projective for t in chain]
+    assert [len(t.vertices) for t in coresolution(two_loop_algebra())] == [
+        2, 3, 6, 12, 24, 48, 96, 192]
+
+
+def test_nakayama_domdim_within_marczinzik_bound():
+    """A non-selfinjective Nakayama algebra with n simples has dominant
+    dimension at most 2n - 2 (Marczinzik, J. Algebra 2018).  Observed here
+    with the default cutoff, above every bound, so it never truncates: every
+    such Kupisch series with n <= 6 and lengths up to 8 keeps the bound, and
+    for each n from 2 to 6 some series attains it."""
+    highest = {}
+    for ks in enumerate_kupisch(6, 8):
+        algebra = kupisch_to_algebra(ks)
+        domdim = dominant_dimension(algebra)
+        if is_selfinjective(algebra):
+            assert domdim == DomDim.infinite()
+            continue
+        n = algebra.quiver.vertex_count
+        assert domdim.kind == "finite" and domdim.value <= 2 * n - 2, ks
+        highest[n] = max(highest.get(n, 0), domdim.value)
+    assert highest == {n: 2 * n - 2 for n in range(2, 7)}
 
 
 def test_domdim_examples(branching_algebra, cyclic_32, a2, semisimple):

@@ -5,10 +5,14 @@ import pytest
 from module_oracles import (
     annihilator_dimension,
     commutes,
+    injective_module,
     is_faithful,
     is_surjective,
     mod_socle,
+    radical,
+    regular_module,
     simple_module,
+    socle_dims,
 )
 from quivalg.endo import EndomorphismContext
 from quivalg.errors import ZeroModuleError
@@ -23,14 +27,10 @@ from quivalg.representations import (
     hom_space,
     homological_status,
     injective_envelope,
-    injective_module,
     projective_cover,
     projective_module,
     projective_socle_dims,
-    radical,
-    regular_module,
     socle,
-    socle_dims,
     top,
 )
 
