@@ -164,19 +164,26 @@ def _parse_summand_tokens(spec, algebra):
     tokens = spec.split()
     if not tokens:
         raise QuivalgError("no summands given")
+    n = algebra.quiver.vertex_count
+
+    def vertex(text):  # a 1-based vertex, as a 0-based index
+        if not 1 <= int(text) <= n:
+            raise ValueError(f"vertex {int(text)} outside 1..{n}")
+        return int(text) - 1
+
     ids = []
     for tok in tokens:
         try:
             if tok.startswith("top="):
                 fields = dict(kv.split("=", 1) for kv in tok.split(","))
-                ids.append((int(fields["top"]) - 1, int(fields["len"])))
+                ids.append((vertex(fields["top"]), int(fields["len"])))
             elif tok.startswith("P"):
-                v = int(tok[1:]) - 1
+                v = vertex(tok[1:])
                 ids.append((v, len(algebra.paths_from(v))))
             elif tok.startswith("I"):
                 rest = tok[1:]
                 mod_soc = rest.endswith("/s")
-                v = int(rest[:-2] if mod_soc else rest) - 1
+                v = vertex(rest[:-2] if mod_soc else rest)
                 t, l = injective_uniserial_id(algebra, v)
                 if mod_soc:
                     l -= 1

@@ -6,7 +6,8 @@ basis.  Elements are tagged by the idempotent pair (i, j) with
 x = e_i x e_j.  Two constructors produce them: the span of all paths of a
 monomial algebra between a chosen set of vertices, and End_B(M) for a
 basic module M with indecomposable summands whose endomorphism rings are
-local (morphism products are resolved exactly against hom-space bases).
+local (morphism products are resolved exactly against hom-space bases;
+End(U) has the identity, then the endomorphisms with image in rad U).
 Tables hold nonzero products only.  End_B(M) is assembled from cached
 blocks of composites, one per summand triple, and a composite with an
 identity factor is read off the hom-space basis instead of computed.
@@ -30,7 +31,7 @@ from .quiver import (
     kupisch_walk,
     shape_classify,
 )
-from .representations import Morphism, hom_space, radical_rows
+from .representations import Morphism, hom_space, radical_endomorphisms
 from .nakayama import KupischSeries
 
 
@@ -144,80 +145,24 @@ class EndomorphismContext:
         self._hom_rrefs = {}
         self._blocks = {}
         self._isomorphic = {}
-        self._top_data = {}
 
     def hom(self, a, b):
         """Basis of Hom(U_a, U_b); for a == b the first element is the
         identity and the rest is a basis of the radical of End(U_a)."""
         key = (a, b)
         if key not in self._hom:
-            if a == b:
-                self._hom[key] = self._normalized_end(a)
-            else:
-                self._hom[key] = hom_space(self.universe[a], self.universe[b])
+            self._hom[key] = (self._normalized_end(a) if a == b
+                              else hom_space(self.universe[a], self.universe[b]))
         return self._hom[key]
 
-    def _scalar_data(self, a):
-        if a not in self._top_data:
-            rep = self.universe[a]
-            data = []
-            for v in range(rep.algebra.quiver.vertex_count):
-                dim, proj, sect = linalg.quotient_maps(radical_rows(rep, v), rep.dims[v])
-                if dim:
-                    data.append((v, dim, proj, sect))
-            self._top_data[a] = data
-        return self._top_data[a]
-
-    def _scalar_part(self, a, f):
-        """The unique c with f - c id nilpotent, via the induced top map;
-        raises NotLocal when the top action is not scalar."""
-        scalar = None
-        for v, dim, proj, sect in self._scalar_data(a):
-            ind = linalg.mat_mul(linalg.mat_mul(sect, f.vertex_maps[v]), proj)
-            if any(c != r for r, row in enumerate(ind) for c in row):
-                raise NotLocalError("endomorphism ring is not local")
-            diag = {Fraction(row.get(r, 0)) for r, row in enumerate(ind)}
-            if len(diag) > 1:
-                raise NotLocalError("endomorphism ring is not local")
-            d = diag.pop()
-            if scalar is None:
-                scalar = d
-            elif scalar != d:
-                raise NotLocalError("endomorphism ring is not local")
-        return Fraction(0) if scalar is None else Fraction(scalar)
-
     def _normalized_end(self, a):
+        """The identity, then a basis of the endomorphisms with zero top
+        map; raises NotLocal unless those span a hyperplane of End(U_a)."""
         rep = self.universe[a]
-        homs = hom_space(rep, rep)
-        ident = Morphism(rep, rep, [linalg.identity(d) for d in rep.dims])
-        candidates = []
-        for f in homs:
-            c = self._scalar_part(a, f)
-            maps = [linalg.mat_sub(f.vertex_maps[v], linalg.scalar_mul(c, linalg.identity(d)))
-                    for v, d in enumerate(rep.dims)]
-            r = Morphism(rep, rep, maps)
-            if self._is_zero_morphism(r):
-                continue
-            self._check_nilpotent(r)
-            candidates.append(r)
-        radicals = [candidates[i] for i in
-                    linalg.independent([self._flatten_morphism(r) for r in candidates])]
-        if len(radicals) != len(homs) - 1:
+        radicals = radical_endomorphisms(rep)
+        if len(radicals) != len(hom_space(rep, rep)) - 1:
             raise NotLocalError("endomorphism ring is not local")
-        return [ident] + radicals
-
-    @staticmethod
-    def _is_zero_morphism(f):
-        return all(linalg.is_zero_matrix(m) for m in f.vertex_maps)
-
-    def _check_nilpotent(self, r):
-        power = r
-        for _ in range(r.source.total_dim):
-            if self._is_zero_morphism(power):
-                return
-            power = power.then(r)
-        if not self._is_zero_morphism(power):
-            raise NotLocalError("radical candidate is not nilpotent")
+        return [Morphism(rep, rep, [linalg.identity(d) for d in rep.dims])] + radicals
 
     @staticmethod
     def _flatten_morphism(f):
@@ -320,7 +265,10 @@ class EndomorphismContext:
 
 def endomorphism_algebra(summands):
     """End_B(M) for a basic list of indecomposable modules with local
-    endomorphism rings; raises NotBasic / NotLocal otherwise."""
+    endomorphism rings; raises NotBasic / NotLocal otherwise.  End(U) passes
+    as local when the endomorphisms with image in rad U, all nilpotent, form
+    a hyperplane: when End(U) acts on top U by scalars.  A local End whose
+    radical moves the top, as no uniserial's does, fails too."""
     ctx = EndomorphismContext(summands)
     return ctx.endo_algebra(range(len(summands)))
 

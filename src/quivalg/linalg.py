@@ -12,9 +12,9 @@ result.  Zero columns are never touched, and integers stay integers until a
 pivot division needs a ``Fraction``.
 
 Rows are shared, never copied: once a row is stored in a matrix nothing
-mutates it.  :func:`rref`, :func:`coordinates`, :func:`mat_mul` and
-:func:`mat_sub` each edit only rows they made themselves, so a matrix may
-be handed to a representation or morphism as built.
+mutates it.  :func:`rref`, :func:`coordinates` and :func:`mat_mul`
+each edit only rows they made themselves, so a matrix may be handed to a
+representation or morphism as built.
 
 Vectors are treated as rows throughout the package: a linear map V -> W of
 dimensions d_V x d_W is a d_V x d_W matrix acting by ``v @ A``.
@@ -48,19 +48,6 @@ def mat_mul(a, b):
             _add(acc, x, b[k])
         out.append(acc)
     return out
-
-
-def mat_sub(a, b):
-    out = []
-    for ra, rb in zip(a, b):
-        row = dict(ra)
-        _add(row, -1, rb)
-        out.append(row)
-    return out
-
-
-def scalar_mul(c, a):
-    return [{j: c * x for j, x in row.items()} if c else {} for row in a]
 
 
 def is_zero_matrix(a):
@@ -160,13 +147,3 @@ def coordinates(red, ncols, vec):
     if any(c < ncols for c in rest):
         return None
     return {c - ncols: -x for c, x in rest.items()}
-
-
-def independent(vectors):
-    """Indices of the sparse vectors that are not combinations of the
-    earlier ones: the pivot columns of the matrix with these columns."""
-    columns = {}
-    for i, vec in enumerate(vectors):
-        for c, x in vec.items():
-            columns.setdefault(c, {})[i] = x
-    return list(rref(list(columns.values()), len(vectors)))

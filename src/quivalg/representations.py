@@ -10,8 +10,9 @@ A morphism is a family of per-vertex matrices commuting with every arrow
 map.  Both keep the matrices they are given, without copying, after a
 shape check.  Socles, tops, covers, envelopes and hom spaces are all
 computed by exact Gaussian elimination; no floating point is involved
-anywhere.  The package itself builds modules only for the uniserials of
-Nakayama algebras, their hom spaces and endomorphism algebras; the
+anywhere; the endomorphisms with image in rad M are one such kernel too.
+The package itself builds modules only for the uniserials of Nakayama
+algebras, their hom spaces and endomorphism algebras; the
 projectives, socles, covers, envelopes, quotients and the projective and
 injective status are kept as the tests' elimination oracles.  The socle
 dimension vectors of the P_v, the oracle of the socles read off the path
@@ -321,8 +322,9 @@ def commutation_equations(spaces, arrows):
     return rows, width
 
 
-def hom_space(m, n):
-    """A basis of Hom(M, N), found by solving the commutation equations."""
+def _solve_hom(m, n, extra):
+    """Morphisms M -> N spanning the solutions of the commutation equations
+    and the ``extra`` equations, which use the same unknowns."""
     if m.algebra != n.algebra:
         raise ValueError("hom_space needs modules over the same algebra")
     q = m.algebra.quiver
@@ -331,7 +333,7 @@ def hom_space(m, n):
         spaces, [(a.source, a.target, m.maps[i], n.maps[i]) for i, a in enumerate(q.arrows)])
     cells = [(v, r, c) for v, dm, dn in spaces for r in range(dm) for c in range(dn)]
     morphisms = []
-    for vec in linalg.nullspace(rows, width):
+    for vec in linalg.nullspace(rows + extra, width):
         maps = [linalg.zeros(dm) for _, dm, _ in spaces]
         for col, x in vec.items():
             v, r, c = cells[col]
@@ -339,3 +341,20 @@ def hom_space(m, n):
         morphisms.append(Morphism(m, n, maps))
     return morphisms
 
+
+def hom_space(m, n):
+    """A basis of Hom(M, N), found by solving the commutation equations."""
+    return _solve_hom(m, n, [])
+
+
+def radical_endomorphisms(rep):
+    """A basis of the endomorphisms of M with image in rad M: the solutions
+    of f_v proj_v = 0 at every vertex v, where proj_v projects M_v onto its
+    top, among the endomorphisms."""
+    extra, offset = [], 0
+    for v, d in enumerate(rep.dims):
+        top_dim, proj, _ = linalg.quotient_maps(radical_rows(rep, v), d)
+        for col in linalg.transpose(proj, top_dim):  # the entries (r, j) of f_v proj_v
+            extra += [{offset + r * d + k: x for k, x in col.items()} for r in range(d)]
+        offset += d * d
+    return _solve_hom(rep, rep, extra)

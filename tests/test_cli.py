@@ -289,6 +289,17 @@ def test_cli_endo_uniserial_out_of_range(capsys):
     assert err.startswith("quivalg: no uniserial of length 9") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("token,vertex", [
+    ("I0", 0), ("I5", 5), ("I5/s", 5), ("P0", 0), ("P3", 3), ("top=0,len=1", 0),
+    ("top=3,len=1", 3),
+])
+def test_cli_endo_summand_vertex_out_of_range(capsys, token, vertex):
+    code = main(["endo", "--kupisch", "cyclic:3,2", "--summands", token])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"quivalg: bad summand token {token!r}: vertex {vertex} outside 1..2\n"
+
+
 @pytest.mark.parametrize("argv,fragment", [
     (["verify", "yamagata", "--max-n", "0"], "--max-n: must be at least 1"),
     (["verify", "morita", "--max-c", "0"], "--max-c: must be at least 1"),

@@ -3,7 +3,8 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from module_oracles import simple_module
+from module_oracles import injective_module, simple_module
+from quivalg import linalg
 from quivalg.errors import NotBasicError, NotLocalError
 from quivalg.endo import (
     EndomorphismContext,
@@ -15,7 +16,7 @@ from quivalg.endo import (
     monomial_basic_algebra,
 )
 from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
-from quivalg.monomial import Side
+from quivalg.monomial import Side, build
 from quivalg.nakayama import (
     KupischSeries,
     all_uniserial_ids,
@@ -24,8 +25,14 @@ from quivalg.nakayama import (
     kupisch_to_algebra,
     uniserial_module,
 )
-from quivalg.quiver import QuiverShape
-from quivalg.representations import direct_sum, hom_space, projective_module
+from quivalg.quiver import Quiver, QuiverShape
+from quivalg.representations import (
+    direct_sum,
+    hom_space,
+    projective_module,
+    radical_endomorphisms,
+    radical_rows,
+)
 
 
 def auslander_of_dual_numbers(dual_numbers):
@@ -112,6 +119,50 @@ def test_not_local_rejected(a2):
     decomposable = direct_sum([simple_module(a2, 0), simple_module(a2, 1)])
     with pytest.raises(NotLocalError):
         endomorphism_algebra([decomposable])
+
+
+def test_top_of_dimension_two_at_one_vertex():
+    """Over the Kronecker algebra (a, b: 1 -> 2), the injective at the sink
+    has top S_1 + S_1 and End = K; beside S_1, or S_1 beside itself, the
+    End is not local."""
+    kronecker = build(Quiver.from_arrows(2, [("a", 0, 1), ("b", 0, 1)]), [])
+    inj, s0 = injective_module(kronecker, 1), simple_module(kronecker, 0)
+    assert inj.dims == (2, 1)
+    [ident] = EndomorphismContext([inj]).hom(0, 0)
+    assert ident.vertex_maps == [linalg.identity(2), linalg.identity(1)]
+    for summands in ([s0, s0], [inj, s0]):
+        with pytest.raises(NotLocalError):
+            endomorphism_algebra([direct_sum(summands)])
+
+
+def test_locality_known_beforehand():
+    """Over the (3,3,2) corpus every P_v and S_v has a local End, whose
+    radical is spanned by endomorphisms with image in rad M, each
+    nilpotent; P_u + P_v and S_v + P_v do not."""
+    accepted = rejected = 0
+    for algebra in enumerate_monomial_algebras(CorpusBounds(3, 3, 2)):
+        n = algebra.quiver.vertex_count
+        projs = [projective_module(algebra, v) for v in range(n)]
+        simples = [simple_module(algebra, v) for v in range(n)]
+        for m in projs + simples:
+            endomorphism_algebra([m])
+            radicals = radical_endomorphisms(m)
+            assert len(radicals) == len(hom_space(m, m)) - 1
+            for f in radicals:
+                for v, fv in enumerate(f.vertex_maps):
+                    rad = radical_rows(m, v)
+                    assert linalg.rank(rad + fv, m.dims[v]) == linalg.rank(rad, m.dims[v])
+                power = f
+                for _ in range(m.total_dim - 1):
+                    power = power.then(f)
+                assert all(linalg.is_zero_matrix(fv) for fv in power.vertex_maps)
+            accepted += 1
+        pairs = [(projs[u], projs[v]) for u, v in itertools.combinations(range(n), 2)]
+        for summands in pairs + list(zip(simples, projs)):
+            with pytest.raises(NotLocalError):
+                endomorphism_algebra([direct_sum(list(summands))])
+            rejected += 1
+    assert accepted + rejected == 1040
 
 
 def test_idempotents_are_orthogonal_and_complete(dual_numbers):

@@ -61,11 +61,9 @@ def test_empty_shapes():
     assert linalg.mat_mul([{}, {}], []) == [{}, {}]
     assert linalg.transpose([], 2) == [{}, {}]
     assert linalg.transpose([{}, {}], 0) == []
-    assert linalg.mat_sub([], []) == []
     red = linalg.rref(linalg.with_markers([], 3), 3)
     assert linalg.coordinates(red, 3, {}) == {}
     assert linalg.coordinates(red, 3, {1: 2}) is None
-    assert linalg.independent([]) == []
 
 
 def test_zero_values_are_ignored():
@@ -146,15 +144,6 @@ def test_coordinates_reject_outside_vector():
 
 @settings(max_examples=100, deadline=None)
 @given(any_matrices)
-def test_independent_is_the_greedy_basis(case):
-    m, cols = case
-    expected = [i for i in range(len(m))
-                if oracle.rank(m[:i + 1], cols) > oracle.rank(m[:i], cols)]
-    assert linalg.independent(oracle.sparse(m)) == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(any_matrices)
 def test_quotient_maps_properties(case):
     rows, cols = case
     dim, proj, sect = linalg.quotient_maps(oracle.sparse(rows), cols)
@@ -171,15 +160,13 @@ def test_quotient_maps_properties(case):
 
 @st.composite
 def product_cases(draw):
-    """(a, b, d, k, c): dense a and d of shape r x k and b of shape k x c,
-    mostly zero so that sums cancel; d repeats some entries of a so that
-    differences cancel too."""
+    """(a, b, k, c): dense a of shape r x k and b of shape k x c, mostly
+    zero so that sums cancel."""
     r, k, c = draw(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5)))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2])
     a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
     b = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
-    d = [[x if draw(st.booleans()) else draw(entry) for x in row] for row in a]
-    return a, b, d, k, c
+    return a, b, k, c
 
 
 def stores_no_zero(mat):
@@ -187,23 +174,20 @@ def stores_no_zero(mat):
 
 
 @settings(max_examples=150, deadline=None)
-@given(product_cases(), st.integers(-2, 2))
-def test_sparse_products_match_dense_oracle(case, scalar):
-    a, b, d, k, c = case
-    sa, sb, sd = oracle.sparse(a), oracle.sparse(b), oracle.sparse(d)
+@given(product_cases())
+def test_sparse_products_match_dense_oracle(case):
+    a, b, k, c = case
+    sa, sb = oracle.sparse(a), oracle.sparse(b)
     results = {
         "mat_mul": (linalg.mat_mul(sa, sb), oracle.mat_mul(a, b, c), c),
         "transpose": (linalg.transpose(sa, k), [[row[j] for row in a] for j in range(k)], len(a)),
-        "mat_sub": (linalg.mat_sub(sa, sd),
-                    [[x - y for x, y in zip(ra, rd)] for ra, rd in zip(a, d)], k),
-        "scalar_mul": (linalg.scalar_mul(scalar, sa), [[scalar * x for x in row] for row in a], k),
     }
     for name, (got, want, ncols) in results.items():
         assert stores_no_zero(got), name
         assert [oracle.dense(row, ncols) for row in got] == want, name
         assert linalg.is_zero_matrix(got) == all(not x for row in want for x in row), name
     # the inputs are left as they were
-    assert (sa, sb, sd) == (oracle.sparse(a), oracle.sparse(b), oracle.sparse(d))
+    assert (sa, sb) == (oracle.sparse(a), oracle.sparse(b))
 
 
 def test_integers_stay_integers_without_pivot_division():
