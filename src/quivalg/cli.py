@@ -22,7 +22,7 @@ from itertools import islice
 
 from . import __version__
 from .endo import (
-    EndomorphismContext,
+    endomorphism_algebra,
     gabriel_quiver,
     is_nakayama_algebra,
     is_qf2_algebra,
@@ -176,7 +176,13 @@ def _parse_summand_tokens(spec, algebra):
         try:
             if tok.startswith("top="):
                 fields = dict(kv.split("=", 1) for kv in tok.split(","))
-                ids.append((vertex(fields["top"]), int(fields["len"])))
+                if "len" not in fields:
+                    raise ValueError("missing len=<l>")
+                top, length = vertex(fields["top"]), int(fields["len"])
+                if not 1 <= length <= len(algebra.paths_from(top)):
+                    raise QuivalgError(
+                        f"no uniserial of length {length} with top at vertex {top + 1}")
+                ids.append((top, length))
             elif tok.startswith("P"):
                 v = vertex(tok[1:])
                 ids.append((v, len(algebra.paths_from(v))))
@@ -192,7 +198,7 @@ def _parse_summand_tokens(spec, algebra):
                 ids.append((t, l))
             else:
                 raise ValueError(f"unrecognized summand token {tok!r}")
-        except (KeyError, IndexError, ValueError) as exc:
+        except (IndexError, ValueError) as exc:
             raise QuivalgError(f"bad summand token {tok!r}: {exc}") from None
     return ids
 
@@ -225,21 +231,31 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"quivalg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def algebra_cmd(name, help_text):
+    def algebra_cmd(name, help_text, run):
+        """A command on an algebra file: ``run(algebra, args)`` gets the
+        algebra read from it, and looks its command up only then, so a
+        command replaced after the shared parser is built still runs."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="algebra description file, or - for stdin")
+        p.set_defaults(run=lambda args: run(load_algebra(args.file), args))
         return p
 
-    algebra_cmd("check", "parse an algebra file and print a summary")
-    p = algebra_cmd("domdim", "dominant dimension")
+    algebra_cmd("check", "parse an algebra file and print a summary",
+                lambda algebra, args: _cmd_check(algebra))
+    p = algebra_cmd("domdim", "dominant dimension",
+                    lambda algebra, args: _cmd_domdim(algebra, args.cutoff))
     p.add_argument("--cutoff", type=_at_least(1), default=12)
-    p = algebra_cmd("coresolve", "terms of the minimal injective coresolution")
+    p = algebra_cmd("coresolve", "terms of the minimal injective coresolution",
+                    lambda algebra, args: _cmd_coresolve(algebra, args.terms))
     p.add_argument("--terms", type=_at_least(1), required=True)
-    algebra_cmd("nakayama", "Nakayama shape test and Kupisch series")
-    p = algebra_cmd("qf2", "simple-socle test for the indecomposable projectives")
+    algebra_cmd("nakayama", "Nakayama shape test and Kupisch series",
+                lambda algebra, args: _cmd_nakayama(algebra))
+    p = algebra_cmd("qf2", "simple-socle test for the indecomposable projectives",
+                    lambda algebra, args: _cmd_qf2(algebra, args.side))
     p.add_argument("--side", choices=["right", "left", "both"], default="both")
-    algebra_cmd("base", "base algebra fAf of the minimal faithful projective-injective")
-    algebra_cmd("dc", "double centraliser check")
+    algebra_cmd("base", "base algebra fAf of the minimal faithful projective-injective",
+                lambda algebra, args: _cmd_base(algebra))
+    algebra_cmd("dc", "double centraliser check", lambda algebra, args: _cmd_dc(algebra))
 
     p = sub.add_parser("endo", help="endomorphism algebra of uniserial modules "
                                     "over a Nakayama algebra")
@@ -247,6 +263,7 @@ def build_parser():
                    help="series, e.g. 'cyclic:3,2' or 'linear:2,1'")
     p.add_argument("--summands", required=True,
                    help="space-separated tokens: P<i>, I<i>, I<i>/s, top=<v>,len=<l>")
+    p.set_defaults(run=_cmd_endo)
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("suite", choices=SUITES)
@@ -259,9 +276,11 @@ def build_parser():
                    help="worker processes for corpus sweeps, capped at the CPU count")
     p.add_argument("--report", help="write the JSON report to this file (atomically)")
     p.add_argument("--csv", help="write a CSV summary to this file")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("paper-example", help="summary of the built-in example algebra")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_paper_example)
     return parser
 
 
@@ -272,12 +291,10 @@ def _cmd_check(algebra):
     print(f"relations: {len(algebra.relations)}")
     print(f"dimension: {algebra.dimension}")
     print(f"shape: {shape_classify(quiver).value}")
-    return 0
 
 
 def _cmd_domdim(algebra, cutoff):
     print(f"dominant dimension: {dominant_dimension(algebra, cutoff)}")
-    return 0
 
 
 def _cmd_coresolve(algebra, terms):
@@ -292,7 +309,6 @@ def _cmd_coresolve(algebra, terms):
         print(f"truncated at {terms} terms")
     else:
         print(f"coresolution terminates after {len(produced)} terms")
-    return 0
 
 
 def _cmd_nakayama(algebra):
@@ -301,7 +317,6 @@ def _cmd_nakayama(algebra):
         print("not a Nakayama algebra")
     else:
         print(f"Nakayama algebra with Kupisch series {ks}")
-    return 0
 
 
 def _cmd_qf2(algebra, side):
@@ -311,7 +326,6 @@ def _cmd_qf2(algebra, side):
     for s, v, ok in verdicts:
         print(f"{s.value} socle at vertex {v + 1}: {'simple' if ok else 'not simple'}")
     print(f"QF-2 ({side}): {all(ok for _, _, ok in verdicts)}")  # is_qf2 on these sides
-    return 0
 
 
 def _cmd_base(algebra):
@@ -322,7 +336,6 @@ def _cmd_base(algebra):
     print(f"radical dimension: {len(base.radical)}")
     print(f"base algebra: {describe_basic(base)}")
     print(f"nakayama (componentwise): {is_nakayama_algebra(base)}")
-    return 0
 
 
 def _cmd_dc(algebra):
@@ -330,16 +343,13 @@ def _cmd_dc(algebra):
     print(f"dim A: {dc.dim_algebra}")
     print(f"dim End over the base algebra: {dc.dim_commutant}")
     print(f"double centraliser: {dc.holds}")
-    return 0
 
 
 def _cmd_endo(args):
-    ks = parse_kupisch(args.kupisch)
-    algebra = kupisch_to_algebra(ks)
+    algebra = kupisch_to_algebra(parse_kupisch(args.kupisch))
     ids = _parse_summand_tokens(args.summands, algebra)
     reps = [uniserial_module(algebra, t, l) for t, l in sorted(set(ids))]
-    ctx = EndomorphismContext(reps)
-    endo = ctx.endo_algebra(range(len(reps)))
+    endo = endomorphism_algebra(reps)
     print(f"summands: {len(reps)}")
     print(f"dimension: {endo.dimension}")
     quiver = gabriel_quiver(endo)
@@ -348,20 +358,13 @@ def _cmd_endo(args):
     kc = kupisch_of_endo(endo)
     print(f"kupisch: {kc if kc is not None else 'none'}")
     print(f"qf2: {is_qf2_algebra(endo)}")
-    return 0
 
 
 def _cmd_verify(args):
-    bounds = None
     triple = (args.max_vertices, args.max_arrows, args.max_rel_len)
-    if any(x is not None for x in triple):
-        if any(x is None for x in triple):
-            print("verify: give all of --max-vertices/--max-arrows/--max-rel-len "
-                  "or none", file=sys.stderr)
-            return 1
-        bounds = (CorpusBounds(*triple),)
-    else:
-        bounds = DEFAULT_CORPORA
+    if None in triple and triple != (None, None, None):
+        build_parser().error("give all of --max-vertices/--max-arrows/--max-rel-len or none")
+    bounds = DEFAULT_CORPORA if None in triple else (CorpusBounds(*triple),)
     [report] = run_suites([args.suite], bounds=bounds, max_n=args.max_n,
                           max_c=args.max_c, workers=args.workers)
     if args.report:
@@ -391,41 +394,15 @@ def _cmd_paper_example(args):
               f"{record['min_faithful_proj_inj_right']}")
         print(f"base algebra: {record['base_algebra']}")
         print(f"double centraliser: {record['double_centralizer']}")
-    return 0
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "endo":
-            return _cmd_endo(args)
-        if args.command == "paper-example":
-            return _cmd_paper_example(args)
-        algebra = load_algebra(args.file)
-        if args.command == "check":
-            return _cmd_check(algebra)
-        if args.command == "domdim":
-            return _cmd_domdim(algebra, args.cutoff)
-        if args.command == "coresolve":
-            return _cmd_coresolve(algebra, args.terms)
-        if args.command == "nakayama":
-            return _cmd_nakayama(algebra)
-        if args.command == "qf2":
-            return _cmd_qf2(algebra, args.side)
-        if args.command == "base":
-            return _cmd_base(algebra)
-        if args.command == "dc":
-            return _cmd_dc(algebra)
-    except OSError as exc:
+        return args.run(args) or 0  # a command that returns no status succeeded
+    except (OSError, QuivalgError) as exc:
         print(f"quivalg: {exc}", file=sys.stderr)
         return 1
-    except QuivalgError as exc:
-        print(f"quivalg: {exc}", file=sys.stderr)
-        return 1
-    raise AssertionError("unhandled command")
 
 
 if __name__ == "__main__":

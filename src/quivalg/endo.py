@@ -28,6 +28,7 @@ from .quiver import (
     QuiverShape,
     connected_components,
     induced_subquiver,
+    is_connected,
     kupisch_walk,
     shape_classify,
 )
@@ -309,14 +310,19 @@ def is_qf2_algebra(c):
     return True
 
 
-def kupisch_of_endo(c):
-    """Kupisch series of a connected Nakayama BasicAlgebra read along its
-    Gabriel quiver, rotation-canonical; None when not applicable."""
+def kupisch_reading(c):
+    """The Kupisch series of a connected Nakayama BasicAlgebra read along
+    its Gabriel quiver, and the summands in that walk order; None when not
+    applicable."""
     quiver = gabriel_quiver(c)
-    if len(connected_components(quiver)) != 1:
-        return None
-    walk = kupisch_walk(quiver)
+    walk = kupisch_walk(quiver) if is_connected(quiver) else None
     if walk is None:
         return None
     shape, order = walk
-    return KupischSeries(shape, tuple(len(c.right_block(v)) for v in order)).canonical()
+    return KupischSeries(shape, tuple(len(c.right_block(v)) for v in order)), order
+
+
+def kupisch_of_endo(c):
+    """The series of :func:`kupisch_reading`, rotation-canonical, or None."""
+    reading = kupisch_reading(c)
+    return reading[0].canonical() if reading else None

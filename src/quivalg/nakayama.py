@@ -9,7 +9,7 @@ endomorphism algebras of generator-cogenerators.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import InvalidKupischError, NotNakayamaError, UniserialLengthError
 from .monomial import MonomialAlgebra
@@ -132,14 +132,11 @@ def uniserial_module(algebra, top_vertex, length):
         p = algebra.extend_by_arrow(p, outs[0])
         steps.append(outs[0])
         verts.append(p.target)
-    coords = [[] for _ in range(quiver.vertex_count)]
-    for k, v in enumerate(verts):
-        coords[v].append(k)
-    pos = {}
-    for v in range(quiver.vertex_count):
-        for i, k in enumerate(coords[v]):
-            pos[k] = i
-    dims = [len(c) for c in coords]
+    dims = [0] * quiver.vertex_count
+    pos = []  # the coordinate of the k-th composition factor within its vertex space
+    for v in verts:
+        pos.append(dims[v])
+        dims[v] += 1
     maps = [linalg.zeros(dims[a.source]) for a in quiver.arrows]
     for k, a in enumerate(steps):
         maps[a][pos[k]][pos[k + 1]] = 1
@@ -161,15 +158,11 @@ def injective_uniserial_id(algebra, v):
 def allowed_summand_ids(algebra):
     """(top, length) ids of the distinct indecomposables among projectives,
     injectives and injectives-mod-socle."""
-    ks = algebra_to_kupisch(algebra)
-    if ks is None:
+    if algebra_to_kupisch(algebra) is None:
         raise NotNakayamaError("allowed summands are defined over Nakayama algebras")
-    n = algebra.quiver.vertex_count
-    ids = set()
-    for v in range(n):
-        ids.add((v, len(algebra.paths_from(v))))
+    ids = set(mandatory_summand_ids(algebra))
+    for v in range(algebra.quiver.vertex_count):
         t, l = injective_uniserial_id(algebra, v)
-        ids.add((t, l))
         if l >= 2:
             ids.add((t, l - 1))
     return tuple(sorted(ids))
@@ -201,13 +194,9 @@ def gen_cogen_candidate_ids(algebra, full_universe=False):
     """
     mandatory = mandatory_summand_ids(algebra)
     universe = all_uniserial_ids(algebra) if full_universe else allowed_summand_ids(algebra)
-    optional = tuple(sorted(set(universe) - set(mandatory)))
-    out = []
-    for mask in range(1 << len(optional)):
-        chosen = [o for k, o in enumerate(optional) if mask >> k & 1]
-        out.append(tuple(sorted(set(mandatory) | set(chosen))))
-    out.sort()
-    return out
+    optional = sorted(set(universe) - set(mandatory))
+    return sorted(tuple(sorted(mandatory + chosen))
+                  for r in range(len(optional) + 1) for chosen in combinations(optional, r))
 
 
 def enumerate_kupisch(max_n, max_c):

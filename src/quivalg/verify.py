@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from . import __version__
 from .endo import (
     EndomorphismContext,
-    gabriel_quiver,
     is_nakayama_algebra,
     is_qf2_algebra,
     kupisch_of_endo,
+    kupisch_reading,
     monomial_basic_algebra,
 )
 from .enumeration import (
@@ -52,7 +52,7 @@ from .nakayama import (
     kupisch_to_algebra,
     uniserial_module,
 )
-from .quiver import QuiverShape, kupisch_walk, shape_classify
+from .quiver import QuiverShape, shape_classify
 from .representations import projective_socle_dims
 
 # The default corpus pairs a length-two-relation family with a smaller
@@ -207,20 +207,34 @@ def main_theorem_corpus_checks(facts):
     return counts, counterexamples
 
 
-def _endomorphisms(algebra):
-    """The map from a tuple of uniserial ids over a Nakayama algebra B to
-    End_B of their direct sum; every tuple shares the hom spaces between
-    the uniserials of B."""
-    universe = all_uniserial_ids(algebra)
-    ctx = EndomorphismContext([uniserial_module(algebra, t, l) for t, l in universe])
-    pos = {uid: i for i, uid in enumerate(universe)}
-    return lambda cand: ctx.endo_algebra([pos[uid] for uid in cand])
+def _instances(series, candidates):
+    """(ks, B, M, End_B(M)) for each series ks, its Nakayama algebra B and
+    each M in ``candidates(B)``, a sorted tuple of uniserial ids; one
+    context per B computes B's hom spaces once for all its modules."""
+    for ks in series:
+        algebra = kupisch_to_algebra(ks)
+        universe = all_uniserial_ids(algebra)
+        ctx = EndomorphismContext([uniserial_module(algebra, t, l) for t, l in universe])
+        pos = {uid: i for i, uid in enumerate(universe)}
+        for cand in candidates(algebra):
+            yield ks, algebra, cand, ctx.endo_algebra([pos[uid] for uid in cand])
 
 
-def _instance(ks, cand):
-    """The counterexample fields naming the module M = sum of ``cand`` over
-    the series ``ks``."""
-    return {"series": str(ks), "summands": list(map(list, cand))}
+def _instance(implication, ks, cand=None, **detail):
+    """The counterexample to ``implication`` at the series ``ks`` and, when
+    given, the module M = sum of ``cand`` over it."""
+    summands = {} if cand is None else {"summands": list(map(list, cand))}
+    return {"implication": implication, "series": str(ks), **summands, **detail}
+
+
+def _domdim2_base(ks):
+    """Whether the Nakayama algebra of ``ks`` has dominant dimension at
+    least two and, when it has, the Kupisch series of its base algebra
+    (None when that is not connected Nakayama)."""
+    algebra = kupisch_to_algebra(ks)
+    if not dominant_dimension(algebra, 2).ge(2):
+        return False, None
+    return True, kupisch_of_endo(base_algebra(algebra))
 
 
 def kupisch_side_checks(max_n, max_c):
@@ -233,57 +247,39 @@ def kupisch_side_checks(max_n, max_c):
     counterexamples = []
     lhs = set()
     n_endo = 0
-    for ks in enumerate_kupisch(max_n, max_c):
-        algebra = kupisch_to_algebra(ks)
-        endo_of = _endomorphisms(algebra)
-        for cand in gen_cogen_candidate_ids(algebra, full_universe=False):
-            n_endo += 1
-            kc = kupisch_of_endo(endo_of(cand))
-            if kc is None:
-                counterexamples.append({
-                    **_instance(ks, cand),
-                    "implication": "End of allowed generator-cogenerator is Nakayama"})
-                continue
-            recon = kupisch_to_algebra(kc)
-            if not dominant_dimension(recon, 2).ge(2):
-                counterexamples.append({
-                    **_instance(ks, cand),
-                    "implication": "End of generator-cogenerator has domdim >= 2"})
-            base_ks = kupisch_of_endo(base_algebra(recon))
-            if base_ks != ks.canonical():
-                counterexamples.append({
-                    **_instance(ks, cand), "base": str(base_ks),
-                    "implication": "base algebra of End_B(M) recovers B"})
-            if kc.vertex_count <= cmp_n and max(kc.lengths) <= cmp_c:
-                lhs.add(str(kc))
+    for ks, _, cand, endo in _instances(enumerate_kupisch(max_n, max_c), gen_cogen_candidate_ids):
+        n_endo += 1
+        kc = kupisch_of_endo(endo)
+        if kc is None:
+            counterexamples.append(
+                _instance("End of allowed generator-cogenerator is Nakayama", ks, cand))
+            continue
+        ge2, base_ks = _domdim2_base(kc)
+        if not ge2:
+            counterexamples.append(
+                _instance("End of generator-cogenerator has domdim >= 2", ks, cand))
+        elif base_ks != ks.canonical():
+            counterexamples.append(_instance("base algebra of End_B(M) recovers B", ks, cand,
+                                             base=str(base_ks)))
+        if kc.vertex_count <= cmp_n and max(kc.lengths) <= cmp_c:
+            lhs.add(str(kc))
     rhs = set()
-    n_cmp = 0
-    for ks in enumerate_kupisch(cmp_n, cmp_c):
-        algebra = kupisch_to_algebra(ks)
-        n_cmp += 1
-        if not dominant_dimension(algebra, 2).ge(2):
-            continue
-        base_ks = kupisch_of_endo(base_algebra(algebra))
-        if base_ks is None:
-            counterexamples.append({
-                "implication": "base algebra of a Nakayama algebra is connected Nakayama",
-                "series": str(ks),
-            })
-            continue
-        if base_ks.vertex_count <= max_n and max(base_ks.lengths) <= max_c:
+    comparison = enumerate_kupisch(cmp_n, cmp_c)
+    for ks in comparison:
+        ge2, base_ks = _domdim2_base(ks)
+        if ge2 and base_ks is None:
+            counterexamples.append(
+                _instance("base algebra of a Nakayama algebra is connected Nakayama", ks))
+        elif ge2 and base_ks.vertex_count <= max_n and max(base_ks.lengths) <= max_c:
             rhs.add(str(ks))
     for s in sorted(lhs - rhs):
-        counterexamples.append({
-            "implication": "realized endomorphism series has domdim >= 2 with small base",
-            "series": s,
-        })
+        counterexamples.append(
+            _instance("realized endomorphism series has domdim >= 2 with small base", s))
     for s in sorted(rhs - lhs):
-        counterexamples.append({
-            "implication": "Nakayama series with domdim >= 2 and small base is realized",
-            "series": s,
-        })
+        counterexamples.append(
+            _instance("Nakayama series with domdim >= 2 and small base is realized", s))
     counts = {"endo_instances": n_endo, "realized_series": len(lhs),
-              "comparison_series": n_cmp, "matched_series": len(lhs & rhs)}
+              "comparison_series": len(comparison), "matched_series": len(lhs & rhs)}
     return counts, counterexamples
 
 
@@ -354,21 +350,14 @@ def structural_oracle_checks(max_n, max_c):
         algebra = kupisch_to_algebra(ks)
         back = algebra_to_kupisch(algebra)
         if back != ks:
-            counterexamples.append({
-                "implication": "kupisch roundtrip",
-                "series": str(ks), "roundtrip": str(back),
-            })
+            counterexamples.append(_instance("kupisch roundtrip", ks, roundtrip=str(back)))
         dims = tuple(len(algebra.paths_from(v)) for v in range(ks.vertex_count))
         if dims != ks.lengths:
-            counterexamples.append({
-                "implication": "projective dimensions match the series",
-                "series": str(ks), "dims": list(dims),
-            })
+            counterexamples.append(
+                _instance("projective dimensions match the series", ks, dims=list(dims)))
         if is_selfinjective_kupisch(ks) != is_selfinjective(algebra):
-            counterexamples.append({
-                "implication": "selfinjectivity criterion matches homological oracle",
-                "series": str(ks),
-            })
+            counterexamples.append(
+                _instance("selfinjectivity criterion matches homological oracle", ks))
     expected = ["linear:1", "linear:2,1", "cyclic:2", "cyclic:3",
                 "cyclic:2,2", "cyclic:3,2", "cyclic:3,3"]
     got = [str(ks) for ks in enumerate_kupisch(2, 3)]
@@ -394,53 +383,54 @@ def yamagata_checks(max_n, max_c):
     Nakayama exactly when all summands are allowed, End_B(M) is always
     QF-2 on both sides, and for Nakayama outcomes the projective-injective
     vertices match the injective summands."""
-    counts = {"series": 0, "candidates": 0, "allowed_candidates": 0,
+    series = enumerate_kupisch(max_n, max_c)
+    counts = {"series": len(series), "candidates": 0, "allowed_candidates": 0,
               "nakayama_endos": 0}
     counterexamples = []
-    for ks in enumerate_kupisch(max_n, max_c):
-        counts["series"] += 1
-        algebra = kupisch_to_algebra(ks)
-        endo_of = _endomorphisms(algebra)
-        allowed = set(allowed_summand_ids(algebra))
-        injective_ids = {injective_uniserial_id(algebra, v)
-                         for v in range(algebra.quiver.vertex_count)}
-        for cand in gen_cogen_candidate_ids(algebra, full_universe=True):
-            counts["candidates"] += 1
-            expect_nakayama = all(uid in allowed for uid in cand)
-            if expect_nakayama:
-                counts["allowed_candidates"] += 1
-            endo = endo_of(cand)
-            naka = is_nakayama_algebra(endo)
-            if naka:
-                counts["nakayama_endos"] += 1
-            if naka != expect_nakayama:
-                counterexamples.append({
-                    **_instance(ks, cand), "nakayama": naka,
-                    "implication": "End_B(M) Nakayama <=> summands allowed"})
-            if not is_qf2_algebra(endo):
-                counterexamples.append({**_instance(ks, cand),
-                                        "implication": "End_B(M) is QF-2"})
-            if naka:
-                mismatch = _apt_mismatch(endo, cand, injective_ids)
-                if mismatch:
-                    counterexamples.append({
-                        **_instance(ks, cand), "detail": mismatch, "implication":
-                        "projective-injectives of End_B(M) sit at injective summands"})
+    current = None
+    full = _instances(series, lambda b: gen_cogen_candidate_ids(b, full_universe=True))
+    for ks, algebra, cand, endo in full:
+        if algebra is not current:  # the first instance of a series reads its summand sets
+            current, allowed = algebra, set(allowed_summand_ids(algebra))
+            injective_ids = {injective_uniserial_id(algebra, v) for v in range(ks.vertex_count)}
+        counts["candidates"] += 1
+        expect_nakayama = allowed.issuperset(cand)
+        if expect_nakayama:
+            counts["allowed_candidates"] += 1
+        naka = is_nakayama_algebra(endo)
+        if naka:
+            counts["nakayama_endos"] += 1
+        if naka != expect_nakayama:
+            counterexamples.append(_instance("End_B(M) Nakayama <=> summands allowed", ks, cand,
+                                             nakayama=naka))
+        if not is_qf2_algebra(endo):
+            counterexamples.append(_instance("End_B(M) is QF-2", ks, cand))
+        mismatch = naka and _apt_mismatch(endo, cand, injective_ids)
+        if mismatch:
+            counterexamples.append(_instance(
+                "projective-injectives of End_B(M) sit at injective summands", ks, cand,
+                detail=mismatch))
     return counts, counterexamples
 
 
 def _apt_mismatch(endo, cand, injective_ids):
     """Compare projective-injective vertices of a Nakayama End algebra with
-    the injective summands of M, through the reconstructed Kupisch walk."""
-    n = endo.num_summands
-    shape, order = kupisch_walk(gabriel_quiver(endo))
-    lengths = tuple(len(endo.right_block(i)) for i in order)
-    recon = kupisch_to_algebra(KupischSeries(shape, lengths))
-    pi_positions = set(projective_injective_vertices(recon))
-    inj_positions = {k for k in range(n) if cand[order[k]] in injective_ids}
+    the injective summands of M, through its Kupisch series in walk order."""
+    series, order = kupisch_reading(endo)
+    pi_positions = sorted(projective_injective_vertices(kupisch_to_algebra(series)))
+    inj_positions = [k for k, i in enumerate(order) if cand[i] in injective_ids]
     if pi_positions != inj_positions:
-        return {"proj_inj": sorted(pi_positions), "injective_summands": sorted(inj_positions)}
+        return {"proj_inj": pi_positions, "injective_summands": inj_positions}
     return None
+
+
+def _with_p_mod_soc(algebra):
+    """B plus each set of distinct P/soc summands, over a selfinjective
+    Nakayama algebra B."""
+    n, c = algebra.quiver.vertex_count, len(algebra.paths_from(0))
+    return [tuple(sorted([(v, c) for v in range(n)]
+                         + [(v, c - 1) for v in range(n) if mask >> v & 1]))
+            for mask in range(1 << n)]
 
 
 def morita_checks(max_n, max_c):
@@ -448,32 +438,20 @@ def morita_checks(max_n, max_c):
     selfinjective (constant cyclic) series and M = B plus distinct P/soc
     summands, End_B(M) is Nakayama with selfinjective base and dominant
     dimension at least two."""
-    counts = {"series": 0, "instances": 0}
+    series = [KupischSeries(QuiverShape.CYCLIC, (c,) * n)
+              for c in range(2, max_c + 1) for n in range(1, max_n + 1)]
+    counts = {"series": len(series), "instances": 0}
     counterexamples = []
-    for c in range(2, max_c + 1):
-        for n in range(1, max_n + 1):
-            ks = KupischSeries(QuiverShape.CYCLIC, (c,) * n)
-            counts["series"] += 1
-            endo_of = _endomorphisms(kupisch_to_algebra(ks))
-            projs = [(v, c) for v in range(n)]
-            rad_tops = [(v, c - 1) for v in range(n)]
-            for mask in range(1 << n):
-                counts["instances"] += 1
-                cand = tuple(sorted(projs + [rt for k, rt in enumerate(rad_tops)
-                                             if mask >> k & 1]))
-                endo = endo_of(cand)
-                if not is_nakayama_algebra(endo):
-                    counterexamples.append({**_instance(ks, cand),
-                                            "implication": "End is Nakayama"})
-                    continue
-                recon = kupisch_to_algebra(kupisch_of_endo(endo))
-                if not dominant_dimension(recon, 2).ge(2):
-                    counterexamples.append({**_instance(ks, cand),
-                                            "implication": "End has domdim >= 2"})
-                base_ks = kupisch_of_endo(base_algebra(recon))
-                if base_ks is None or not is_selfinjective_kupisch(base_ks):
-                    counterexamples.append({**_instance(ks, cand),
-                                            "implication": "base algebra is selfinjective"})
+    for ks, _, cand, endo in _instances(series, _with_p_mod_soc):
+        counts["instances"] += 1
+        if not is_nakayama_algebra(endo):
+            counterexamples.append(_instance("End is Nakayama", ks, cand))
+            continue
+        ge2, base_ks = _domdim2_base(kupisch_of_endo(endo))
+        if not ge2:
+            counterexamples.append(_instance("End has domdim >= 2", ks, cand))
+        elif base_ks is None or not is_selfinjective_kupisch(base_ks):
+            counterexamples.append(_instance("base algebra is selfinjective", ks, cand))
     return counts, counterexamples
 
 

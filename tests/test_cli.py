@@ -144,6 +144,16 @@ def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
         assert _run(argv, capsys) == result
 
 
+def test_cli_runs_a_command_replaced_after_the_parser_is_built(tmp_path, capsys, monkeypatch):
+    from quivalg import cli as cli_module
+    path = tmp_path / "alg.txt"
+    path.write_text(GOOD)
+    build_parser()
+    monkeypatch.setattr(cli_module, "_cmd_check", lambda algebra: print(algebra.dimension))
+    assert main(["check", str(path)]) == 0  # a command that returns no status succeeded
+    assert capsys.readouterr().out == f"{parse_algebra(GOOD).dimension}\n"
+
+
 def test_cli_keeps_no_algebra_between_calls(tmp_path, capsys):
     path = tmp_path / "alg.txt"
     path.write_text(GOOD)
@@ -221,6 +231,18 @@ def test_cli_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("bounds", [["--max-vertices", "2"],
+                                    ["--max-arrows", "1", "--max-rel-len", "2"]])
+def test_cli_verify_partial_corpus_bounds_are_a_usage_error(capsys, bounds):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "qf2-chain"] + bounds)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quivalg ")
+    assert err.splitlines()[-1] == (
+        "quivalg: error: give all of --max-vertices/--max-arrows/--max-rel-len or none")
+
+
 def test_cli_verify_pass(tmp_path, capsys):
     report_path = tmp_path / "r.json"
     csv_path = tmp_path / "r.csv"
@@ -283,10 +305,14 @@ def test_cli_endo_no_summands(capsys, summands):
 
 
 def test_cli_endo_uniserial_out_of_range(capsys):
-    code = main(["endo", "--kupisch", "linear:2,1", "--summands", "top=1,len=9"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("quivalg: no uniserial of length 9") and err.count("\n") == 1
+    # vertices are named 1-based, as everywhere else in the CLI
+    for token, message in [
+            ("top=1,len=9", "no uniserial of length 9 with top at vertex 1"),
+            ("top=1,len=0", "no uniserial of length 0 with top at vertex 1"),
+            ("top=2,len=2", "no uniserial of length 2 with top at vertex 2"),
+            ("top=1", "bad summand token 'top=1': missing len=<l>")]:
+        assert main(["endo", "--kupisch", "linear:2,1", "--summands", token]) == 1
+        assert capsys.readouterr().err == f"quivalg: {message}\n"
 
 
 @pytest.mark.parametrize("token,vertex", [

@@ -33,3 +33,46 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("import os\nfrom a import b, c as d\n__all__ = ['b']\n")
     assert unused_imports(tree) == [(1, "os"), (2, "d")]
+
+
+def unreferenced_private_defs(trees):
+    """(module, name) of each module-level ``_``-prefixed function or class
+    in ``trees`` (module name -> parsed module) that no code outside its
+    own body names: as a name, an attribute or an imported name."""
+    refs = {}  # name -> ids of the nodes that name it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(id(node))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    refs.setdefault(alias.name, []).append(id(alias))
+    found = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                inside = {id(n) for n in ast.walk(node)}
+                if all(ref in inside for ref in refs.get(node.name, [])):
+                    found.append((module, node.name))
+    return found
+
+
+def test_every_private_helper_has_a_caller():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_defs(trees) == []
+
+
+def test_an_unreferenced_private_helper_is_found():
+    trees = {
+        "a.py": ast.parse("def _used():\n    pass\n\n"
+                          "def _orphan():\n    return _orphan()\n\n"
+                          "class _Imported:\n    pass\n\n"
+                          "def __dunder__():\n    pass\n\n"
+                          "def public():\n    pass\n"),
+        "b.py": ast.parse("from a import _Imported\nimport a\n\nx = a._used()\n"),
+    }
+    assert unreferenced_private_defs(trees) == [("a.py", "_orphan")]

@@ -5,6 +5,7 @@ import pytest
 from quivalg import homological, verify
 from quivalg.cli import paper_example, paper_example_text, parse_algebra
 from quivalg.enumeration import CorpusBounds, enumerate_monomial_algebras
+from quivalg.nakayama import enumerate_kupisch
 from quivalg.verify import (
     SUITES,
     VerificationReport,
@@ -12,11 +13,13 @@ from quivalg.verify import (
     cross_check_facts,
     kupisch_side_checks,
     main_theorem_corpus_checks,
+    morita_checks,
     qf2_chain_checks,
     run_suites,
     structural_oracle_checks,
     suite_report,
     sweep_corpus,
+    yamagata_checks,
 )
 
 TINY = (CorpusBounds(2, 2, 2),)
@@ -90,6 +93,29 @@ def test_kupisch_side_small(monkeypatch):
     counts, ces = kupisch_side_checks(2, 2)
     assert ces == []
     assert counts["realized_series"] == counts["matched_series"] > 0
+
+
+@pytest.mark.parametrize("checks,series_count", [
+    (kupisch_side_checks, lambda counts: len(enumerate_kupisch(2, 3))),
+    (yamagata_checks, lambda counts: counts["series"]),
+    (morita_checks, lambda counts: counts["series"]),
+], ids=["kupisch-side", "yamagata", "morita"])
+def test_modules_over_one_series_share_one_context(monkeypatch, small_comparison,
+                                                   checks, series_count):
+    """Every End_B(M) over one Kupisch series is built from one context, so
+    the hom spaces between B's uniserials are computed once per series."""
+    built = []
+
+    class Counted(verify.EndomorphismContext):
+        def __init__(self, universe):
+            built.append(universe)
+            super().__init__(universe)
+
+    monkeypatch.setattr(verify, "EndomorphismContext", Counted)
+    counts, ces = checks(2, 3)
+    assert ces == []
+    assert len(built) == series_count(counts) > 1
+    assert sum(counts.get(k, 0) for k in ("endo_instances", "candidates", "instances")) > len(built)
 
 
 def test_run_suite_dispatch(sweeps):
