@@ -24,7 +24,7 @@ from .errors import (
     ZeroModuleError,
 )
 from .quiver import Arrow, Path, Quiver, QuiverShape, compose, is_connected, shape_classify
-from .monomial import MonomialAlgebra, Side, build
+from .monomial import MonomialAlgebra, build
 from .homological import (
     DomDim,
     base_algebra,
@@ -74,7 +74,6 @@ __all__ = [
     "Quiver",
     "QuiverShape",
     "QuivalgError",
-    "Side",
     "UniserialLengthError",
     "ZeroModuleError",
     "algebra_to_kupisch",

@@ -15,6 +15,7 @@ no randomness is used anywhere.
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 from importlib import resources
@@ -31,13 +32,14 @@ from .endo import (
 from .enumeration import CorpusBounds
 from .errors import AlgebraParseError, QuivalgError
 from .homological import (
+    DOMDIM_CUTOFF,
     base_algebra,
     dominant_dimension,
     double_centralizer_check,
     injective_coresolution,
     minimal_faithful_proj_inj,
 )
-from .monomial import Side, build
+from .monomial import build
 from .nakayama import (
     algebra_to_kupisch,
     injective_uniserial_id,
@@ -146,13 +148,13 @@ def paper_example():
     """Summary record of the five-vertex two-relation example algebra."""
     algebra = parse_algebra(paper_example_text())
     dd = dominant_dimension(algebra)
-    pi_right = minimal_faithful_proj_inj(algebra, Side.RIGHT)
+    pi_right = minimal_faithful_proj_inj(algebra)
     base = base_algebra(algebra)
     dc = double_centralizer_check(algebra)
     return {
         "dominant_dimension": dd.value if dd.kind == "finite" else str(dd),
         "nakayama": algebra_to_kupisch(algebra) is not None,
-        "qf2_right": algebra.is_qf2(Side.RIGHT),
+        "qf2_right": all(algebra.socle_criterion(v) for v in range(algebra.quiver.vertex_count)),
         "min_faithful_proj_inj_right": [v + 1 for v in pi_right],
         "base_algebra": describe_basic(base),
         "base_algebra_dimension": base.dimension,
@@ -165,40 +167,33 @@ def _parse_summand_tokens(spec, algebra):
     if not tokens:
         raise QuivalgError("no summands given")
     n = algebra.quiver.vertex_count
-
-    def vertex(text):  # a 1-based vertex, as a 0-based index
-        if not 1 <= int(text) <= n:
-            raise ValueError(f"vertex {int(text)} outside 1..{n}")
-        return int(text) - 1
-
     ids = []
     for tok in tokens:
+        match = re.fullmatch(r"P(-?\d+)|I(-?\d+)(/s)?|top=(-?\d+)(?:,len=(-?\d+))?", tok)
         try:
-            if tok.startswith("top="):
-                fields = dict(kv.split("=", 1) for kv in tok.split(","))
-                if "len" not in fields:
-                    raise ValueError("missing len=<l>")
-                top, length = vertex(fields["top"]), int(fields["len"])
-                if not 1 <= length <= len(algebra.paths_from(top)):
-                    raise QuivalgError(
-                        f"no uniserial of length {length} with top at vertex {top + 1}")
-                ids.append((top, length))
-            elif tok.startswith("P"):
-                v = vertex(tok[1:])
+            if match is None:
+                raise ValueError("expected P<i>, I<i>, I<i>/s or top=<v>,len=<l>")
+            proj, inj, mod_soc, top, length = match.groups()
+            if top is not None and length is None:
+                raise ValueError("missing len=<l>")
+            v = int(proj or inj or top) - 1  # vertices are 1-based outside
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v + 1} outside 1..{n}")
+            if proj is not None:
                 ids.append((v, len(algebra.paths_from(v))))
-            elif tok.startswith("I"):
-                rest = tok[1:]
-                mod_soc = rest.endswith("/s")
-                v = vertex(rest[:-2] if mod_soc else rest)
+            elif inj is not None:
                 t, l = injective_uniserial_id(algebra, v)
                 if mod_soc:
                     l -= 1
                     if l == 0:
                         raise ValueError(f"{tok}: quotient by the socle is zero")
                 ids.append((t, l))
+            elif not 1 <= int(length) <= len(algebra.paths_from(v)):
+                raise QuivalgError(
+                    f"no uniserial of length {int(length)} with top at vertex {v + 1}")
             else:
-                raise ValueError(f"unrecognized summand token {tok!r}")
-        except (IndexError, ValueError) as exc:
+                ids.append((v, int(length)))
+        except ValueError as exc:
             raise QuivalgError(f"bad summand token {tok!r}: {exc}") from None
     return ids
 
@@ -244,7 +239,7 @@ def build_parser():
                 lambda algebra, args: _cmd_check(algebra))
     p = algebra_cmd("domdim", "dominant dimension",
                     lambda algebra, args: _cmd_domdim(algebra, args.cutoff))
-    p.add_argument("--cutoff", type=_at_least(1), default=12)
+    p.add_argument("--cutoff", type=_at_least(1), default=DOMDIM_CUTOFF)
     p = algebra_cmd("coresolve", "terms of the minimal injective coresolution",
                     lambda algebra, args: _cmd_coresolve(algebra, args.terms))
     p.add_argument("--terms", type=_at_least(1), required=True)
@@ -320,11 +315,12 @@ def _cmd_nakayama(algebra):
 
 
 def _cmd_qf2(algebra, side):
-    sides = (Side.RIGHT, Side.LEFT) if side == "both" else (Side(side),)
-    verdicts = [(s, v, algebra.socle_criterion(v, s))
+    sides = ("right", "left") if side == "both" else (side,)
+    # the left projectives of A are the right projectives of its opposite
+    verdicts = [(s, v, (algebra.opposite() if s == "left" else algebra).socle_criterion(v))
                 for s in sides for v in range(algebra.quiver.vertex_count)]
     for s, v, ok in verdicts:
-        print(f"{s.value} socle at vertex {v + 1}: {'simple' if ok else 'not simple'}")
+        print(f"{s} socle at vertex {v + 1}: {'simple' if ok else 'not simple'}")
     print(f"QF-2 ({side}): {all(ok for _, _, ok in verdicts)}")  # is_qf2 on these sides
 
 

@@ -19,6 +19,7 @@ multiplication of B.
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import NotBasicError, NotLocalError
@@ -46,14 +47,13 @@ class BasicAlgebra:
     morphism each basis element came from.
     """
 
-    def __init__(self, num_summands, idempotents, tags, products, radical, payloads=None):
+    def __init__(self, num_summands, idempotents, tags, products, radical, payloads):
         self.num_summands = num_summands
         self.idempotents = tuple(idempotents)
         self.tags = tuple(tags)
         self.products = products
         self.radical = tuple(radical)
-        self.payloads = tuple(payloads) if payloads is not None else None
-        self._gabriel_cache = None
+        self.payloads = tuple(payloads)
 
     @property
     def dimension(self):
@@ -67,10 +67,9 @@ class BasicAlgebra:
         """Basis indices of the left projective C e_i."""
         return [x for x in range(self.dimension) if self.tags[x][1] == i]
 
+    @cached_property
     def _gabriel(self):
         """Gabriel quiver plus radical generators (a basis of rad mod rad^2)."""
-        if self._gabriel_cache is not None:
-            return self._gabriel_cache
         n = self.num_summands
         rad_set = set(self.radical)
         rad_blocks = {}
@@ -97,20 +96,16 @@ class BasicAlgebra:
                 if pos_in_block[x] not in red:
                     generators.append(x)
                     arrows.append(Arrow(f"g{len(arrows)}", key[0], key[1]))
-        quiver = Quiver(n, tuple(arrows))
-        self._gabriel_cache = (quiver, tuple(generators))
-        return self._gabriel_cache
+        return Quiver(n, tuple(arrows)), tuple(generators)
 
     def radical_generators(self):
-        return self._gabriel()[1]
+        return self._gabriel[1]
 
 
-def monomial_basic_algebra(algebra, vertices=None):
+def monomial_basic_algebra(algebra, vertices):
     """The corner algebra spanned by all basis paths with both endpoints in
-    ``vertices`` (all vertices by default); used for fAf and for viewing a
+    ``vertices``; used for fAf, and with all vertices for viewing a
     monomial algebra through the BasicAlgebra interface."""
-    if vertices is None:
-        vertices = range(algebra.quiver.vertex_count)
     verts = sorted(vertices)
     vset = set(verts)
     pos = {v: i for i, v in enumerate(verts)}
@@ -276,7 +271,7 @@ def endomorphism_algebra(summands):
 
 def gabriel_quiver(c):
     """One vertex per summand and dim e_i (rad / rad^2) e_j arrows i -> j."""
-    return c._gabriel()[0]
+    return c._gabriel[0]
 
 
 def is_nakayama_algebra(c):

@@ -21,7 +21,6 @@ from itertools import islice
 from . import linalg
 from .endo import monomial_basic_algebra
 from .errors import DomDimZeroError
-from .monomial import Side
 from .representations import commutation_equations, envelope_dim
 
 
@@ -169,7 +168,10 @@ def is_selfinjective(algebra):
     return len(projective_injective_vertices(algebra)) == algebra.quiver.vertex_count
 
 
-def dominant_dimension(algebra, cutoff=12):
+DOMDIM_CUTOFF = 12  # coresolution terms read before domdim is only a lower bound
+
+
+def dominant_dimension(algebra, cutoff=DOMDIM_CUTOFF):
     """Number of leading projective terms of the minimal injective
     coresolution; 0 when the first term is not projective, infinite for
     selfinjective algebras and when the coresolution ends within the cutoff
@@ -205,23 +207,22 @@ def _suffix_faithful(algebra, vertices):
     return all((q.target, q.arrows) in suffixes for q in algebra.basis)
 
 
-def minimal_faithful_proj_inj(algebra, side=Side.RIGHT):
-    """Vertices whose indecomposable projectives on the given side are also
-    injective, when their direct sum is faithful; None otherwise (dominant
-    dimension zero).  Cached next to the projective-injective table of the
-    algebra whose right projectives these are: A, or its opposite for LEFT."""
-    work = algebra if side is Side.RIGHT else algebra.opposite()
+def minimal_faithful_proj_inj(algebra):
+    """Vertices whose indecomposable right projectives are also injective,
+    when their direct sum is faithful; None otherwise (dominant dimension
+    zero).  The left answer is that of the opposite algebra.  Cached next
+    to the projective-injective table."""
     key = ("faithful_proj_inj",)
-    if key not in work._cache:
-        verts = projective_injective_vertices(work)
-        work._cache[key] = verts if verts and _suffix_faithful(work, verts) else None
-    return work._cache[key]
+    if key not in algebra._cache:
+        verts = projective_injective_vertices(algebra)
+        algebra._cache[key] = verts if verts and _suffix_faithful(algebra, verts) else None
+    return algebra._cache[key]
 
 
 def base_algebra(algebra):
     """The corner algebra fAf for the minimal faithful projective-injective
     left module Af; raises DomDimZero when there is none."""
-    verts = minimal_faithful_proj_inj(algebra, Side.LEFT)
+    verts = minimal_faithful_proj_inj(algebra.opposite())
     if verts is None:
         raise DomDimZeroError("the algebra has dominant dimension zero")
     return monomial_basic_algebra(algebra, verts)
@@ -241,7 +242,7 @@ def double_centralizer_check(algebra):
     embeds A into the commutant because Af is faithful, so equality of
     dimensions is the double centraliser property.
     """
-    verts = minimal_faithful_proj_inj(algebra, Side.LEFT)
+    verts = minimal_faithful_proj_inj(algebra.opposite())
     if verts is None:
         return DoubleCentralizerResult(False, algebra.dimension, None)
     vset = set(verts)

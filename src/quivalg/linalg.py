@@ -50,10 +50,6 @@ def mat_mul(a, b):
     return out
 
 
-def is_zero_matrix(a):
-    return not any(a)
-
-
 def _add(row, f, src):
     """row += f * src in place, dropping the entries that cancel."""
     for c, y in src.items():

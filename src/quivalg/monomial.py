@@ -8,17 +8,10 @@ state on one branch, so no length cutoff is ever involved.
 """
 
 from collections import namedtuple
-from enum import Enum
 from functools import cached_property
 
 from .errors import BadRelationError, DisconnectedQuiverError, NotAdmissibleError
 from .quiver import Arrow, Path, Quiver, compose, is_connected
-
-
-class Side(Enum):
-    RIGHT = "right"
-    LEFT = "left"
-    BOTH = "both"
 
 
 def _path_order(p):  # of relations and of the basis; the source orders trivial paths
@@ -183,22 +176,17 @@ class MonomialAlgebra:
         spanned by the paths out of v with no nonzero extension, by target."""
         return self._socle_table.get(v) or (0,) * self.quiver.vertex_count
 
-    def socle_criterion(self, v, side=Side.RIGHT):
-        """True when exactly one maximal nonzero path starts at v (RIGHT) or
-        ends at v (LEFT); equivalently the corresponding indecomposable
-        projective has simple socle."""
-        if side is Side.RIGHT:
-            return sum(self.socle_dims(v)) == 1
-        if side is Side.LEFT:
-            return self.opposite().socle_criterion(v, Side.RIGHT)
-        raise ValueError("socle_criterion takes RIGHT or LEFT")
+    def socle_criterion(self, v):
+        """True when exactly one maximal nonzero path starts at v: the right
+        projective e_v A has simple socle.  The left projective A e_v is
+        the right projective of the opposite algebra."""
+        return sum(self.socle_dims(v)) == 1
 
-    def is_qf2(self, side=Side.BOTH):
-        """Every indecomposable projective on the requested side(s) has
-        simple socle."""
-        sides = (Side.RIGHT, Side.LEFT) if side is Side.BOTH else (side,)
-        return all(self.socle_criterion(v, s)
-                   for s in sides for v in range(self.quiver.vertex_count))
+    def is_qf2(self):
+        """Every indecomposable projective, right and left, has simple
+        socle: the right projectives of this algebra and of its opposite."""
+        return all(work.socle_criterion(v) for work in (self, self.opposite())
+                   for v in range(self.quiver.vertex_count))
 
     def __eq__(self, other):
         return (isinstance(other, MonomialAlgebra)

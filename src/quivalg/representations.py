@@ -43,7 +43,7 @@ class Representation:
 
     def _check_relations(self):
         for rel in self.algebra.relations:
-            if not linalg.is_zero_matrix(self.path_action(rel)):
+            if any(self.path_action(rel)):
                 raise ValueError(f"relation {rel} does not act by zero")
 
     @property
@@ -349,12 +349,11 @@ def hom_space(m, n):
 
 def radical_endomorphisms(rep):
     """A basis of the endomorphisms of M with image in rad M: the solutions
-    of f_v proj_v = 0 at every vertex v, where proj_v projects M_v onto its
-    top, among the endomorphisms."""
+    of f_v x = 0 at every vertex v and for every x in the right kernel of
+    the rows spanning rad M_v, among the endomorphisms."""
     extra, offset = [], 0
     for v, d in enumerate(rep.dims):
-        top_dim, proj, _ = linalg.quotient_maps(radical_rows(rep, v), d)
-        for col in linalg.transpose(proj, top_dim):  # the entries (r, j) of f_v proj_v
+        for col in linalg.nullspace(radical_rows(rep, v), d):  # the entries r of f_v x
             extra += [{offset + r * d + k: x for k, x in col.items()} for r in range(d)]
         offset += d * d
     return _solve_hom(rep, rep, extra)

@@ -31,6 +31,7 @@ from .enumeration import (
     enumerate_monomial_algebras,
 )
 from .homological import (
+    DOMDIM_CUTOFF,
     DomDim,
     base_algebra,
     dominant_dimension,
@@ -39,7 +40,6 @@ from .homological import (
     minimal_faithful_proj_inj,
     projective_injective_vertices,
 )
-from .monomial import Side
 from .nakayama import (
     KupischSeries,
     algebra_to_kupisch,
@@ -63,7 +63,6 @@ DEFAULT_MAX_N = 3
 DEFAULT_MAX_C = 4
 COMPARISON_MAX_N = 6
 COMPARISON_MAX_C = 8
-DOMDIM_CUTOFF = 12
 
 
 @dataclass
@@ -119,17 +118,17 @@ def _domdim_dict(d):
     return {"kind": d.kind, "value": d.value}
 
 
-def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
+def algebra_facts(algebra):
     """Everything the monomial-side suites need to know about one algebra."""
     opp = algebra.opposite()
     n = algebra.quiver.vertex_count
     socle_agree = True
-    qf2 = []  # RIGHT on A, then RIGHT on the opposite, which is LEFT on A
+    qf2 = []  # right projectives of A, then of the opposite: the left ones of A
     for work in (algebra, opp):
-        qf2.append(work.is_qf2(Side.RIGHT))
+        qf2.append(all(work.socle_criterion(v) for v in range(n)))
         socle_agree &= all(work.socle_dims(v) == projective_socle_dims(work, v) for v in range(n))
-    pi_right = minimal_faithful_proj_inj(algebra, Side.RIGHT)
-    pi_left = minimal_faithful_proj_inj(algebra, Side.LEFT)
+    pi_right = minimal_faithful_proj_inj(algebra)
+    pi_left = minimal_faithful_proj_inj(opp)
     dc = double_centralizer_check(algebra)
     base_naka = None
     dim_faf = None
@@ -144,8 +143,8 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
         "form": cached_canonical_form(algebra).decode("ascii"),
         "dim": algebra.dimension,
         "shape": shape_classify(algebra.quiver).value,
-        "domdim": _domdim_dict(dominant_dimension(algebra, cutoff)),
-        "domdim_op": _domdim_dict(dominant_dimension(opp, cutoff)),
+        "domdim": _domdim_dict(dominant_dimension(algebra, DOMDIM_CUTOFF)),
+        "domdim_op": _domdim_dict(dominant_dimension(opp, DOMDIM_CUTOFF)),
         "qf2_right": qf2[0],
         "qf2_left": qf2[1],
         "socle_agree": socle_agree,
@@ -160,15 +159,15 @@ def algebra_facts(algebra, cutoff=DOMDIM_CUTOFF):
 
 
 def _facts_for_quiver(payload):
-    quiver, max_rel, cutoff = payload
-    return [algebra_facts(algebra, cutoff) for algebra in algebras_over(quiver, max_rel)]
+    quiver, max_rel = payload
+    return [algebra_facts(algebra) for algebra in algebras_over(quiver, max_rel)]
 
 
-def sweep_corpus(corpora, cutoff=DOMDIM_CUTOFF, workers=1):
+def sweep_corpus(corpora, workers=1):
     """Facts for every algebra of every corpus, partitioned per quiver and
     merged in canonical order regardless of the worker count, which is
     capped at the number of CPUs."""
-    payloads = [(quiver, bounds.max_relation_length, cutoff)
+    payloads = [(quiver, bounds.max_relation_length)
                 for bounds in corpora
                 for quiver in connected_quivers(bounds.max_vertices, bounds.max_arrows)]
     workers = min(workers, os.cpu_count() or 1)

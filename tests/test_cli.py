@@ -4,7 +4,6 @@ import pytest
 
 from quivalg.cli import build_parser, main, paper_example, paper_example_text, parse_algebra
 from quivalg.errors import AlgebraParseError, DisconnectedQuiverError, NotAdmissibleError
-from quivalg.monomial import Side
 
 
 GOOD = """\
@@ -107,10 +106,11 @@ def test_cli_qf2_prints_each_criterion_and_their_verdict(tmp_path, capsys):
     path.write_text(GOOD)
     algebra = parse_algebra(GOOD)
     assert main(["qf2", str(path), "--side", "both"]) == 0
-    expected = [f"{s.value} socle at vertex {v + 1}: "
-                f"{'simple' if algebra.socle_criterion(v, s) else 'not simple'}"
-                for s in (Side.RIGHT, Side.LEFT) for v in range(5)]
-    assert algebra.is_qf2(Side.BOTH) is False
+    expected = [f"{s} socle at vertex {v + 1}: "
+                f"{'simple' if work.socle_criterion(v) else 'not simple'}"
+                for s, work in (("right", algebra), ("left", algebra.opposite()))
+                for v in range(5)]
+    assert algebra.is_qf2() is False
     assert any("not simple" in line for line in expected[:5])
     assert any("not simple" in line for line in expected[5:])
     assert capsys.readouterr().out.splitlines() == expected + ["QF-2 (both): False"]
@@ -324,6 +324,21 @@ def test_cli_endo_summand_vertex_out_of_range(capsys, token, vertex):
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"quivalg: bad summand token {token!r}: vertex {vertex} outside 1..2\n"
+
+
+@pytest.mark.parametrize("token", [
+    "top=1,foo", "top=,len=1", "top=1,len=x", "top=1,len=2,top=2", "top=1,len=1,x=5",
+    "len=1,top=1", "P", "P1x", "I/s", "Ix", "I1/t", "Q1",
+])
+def test_cli_endo_malformed_summand_token(capsys, token):
+    # one line naming the accepted form, never a Python message, and no
+    # field of a top= token silently dropped
+    code = main(["endo", "--kupisch", "cyclic:3,2", "--summands", f"P1 {token}"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"quivalg: bad summand token {token!r}: "
+                            "expected P<i>, I<i>, I<i>/s or top=<v>,len=<l>\n")
 
 
 @pytest.mark.parametrize("argv,fragment", [

@@ -23,7 +23,7 @@ from quivalg.homological import (
     minimal_faithful_proj_inj,
     projective_injective_vertices,
 )
-from quivalg.monomial import Side, build
+from quivalg.monomial import build
 from quivalg.nakayama import KupischSeries, enumerate_kupisch, kupisch_to_algebra
 from quivalg.quiver import Quiver, QuiverShape
 from quivalg.representations import (
@@ -258,15 +258,15 @@ def test_domdim_cutoff_reporting(cyclic_32):
 
 
 def test_minimal_faithful_examples(branching_algebra):
-    assert minimal_faithful_proj_inj(branching_algebra, Side.RIGHT) == (0, 2)
-    assert minimal_faithful_proj_inj(branching_algebra, Side.LEFT) == (3, 4)
+    assert minimal_faithful_proj_inj(branching_algebra) == (0, 2)
+    assert minimal_faithful_proj_inj(branching_algebra.opposite()) == (3, 4)
 
 
 def test_minimal_faithful_selfinjective():
     a = kupisch_to_algebra(KupischSeries(QuiverShape.CYCLIC, (3, 3)))
     n = a.quiver.vertex_count
-    assert minimal_faithful_proj_inj(a, Side.RIGHT) == tuple(range(n))
-    assert minimal_faithful_proj_inj(a, Side.LEFT) == tuple(range(n))
+    assert minimal_faithful_proj_inj(a) == tuple(range(n))
+    assert minimal_faithful_proj_inj(a.opposite()) == tuple(range(n))
 
 
 def test_no_projective_injective_at_all():
@@ -275,7 +275,7 @@ def test_no_projective_injective_at_all():
     a = build(q, [])
     for v in range(3):
         assert not homological_status(projective_module(a, v)).is_injective
-    assert minimal_faithful_proj_inj(a, Side.RIGHT) is None
+    assert minimal_faithful_proj_inj(a) is None
     assert dominant_dimension(a) == DomDim.finite(0)
 
 
@@ -286,7 +286,7 @@ def test_proj_inj_exists_but_not_faithful():
     a = build(q, [q.path(["a", "b"])])
     # radical-square-zero chain: P(0) = I(1) is projective-injective
     assert homological_status(projective_module(a, 0)).is_injective
-    verts = minimal_faithful_proj_inj(a, Side.RIGHT)
+    verts = minimal_faithful_proj_inj(a)
     assert verts == (0, 1)
     assert dominant_dimension(a).ge(1)
 

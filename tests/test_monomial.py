@@ -7,7 +7,7 @@ import presentation_oracles as oracle
 from quivalg.cli import paper_example_text, parse_algebra
 from quivalg.enumeration import CorpusBounds, _paths_by_level, enumerate_monomial_algebras
 from quivalg.errors import BadRelationError, DisconnectedQuiverError, NotAdmissibleError
-from quivalg.monomial import MonomialAlgebra, Side, _reduce_relations, build
+from quivalg.monomial import MonomialAlgebra, _reduce_relations, build
 from quivalg.nakayama import kupisch_to_algebra, parse_kupisch
 from quivalg.quiver import Quiver
 from quivalg.representations import projective_module, socle
@@ -192,7 +192,7 @@ def test_path_index_matches_the_basis_scans(presentations):
                 maximal = [p for p in oracle.paths_from(work, v)
                            if all(oracle.extend_by_arrow(work, p, b) is None
                                   for b in range(len(q.arrows)))]
-                assert work.socle_criterion(v, Side.RIGHT) is (len(maximal) == 1)
+                assert work.socle_criterion(v) is (len(maximal) == 1)
             for p in work.basis:
                 for arrow in range(len(q.arrows)):
                     assert work.extend_by_arrow(p, arrow) == oracle.extend_by_arrow(work, p, arrow)
@@ -210,7 +210,7 @@ def test_projective_modules_match_the_path_oracle(presentations):
 def test_paths_at_a_vertex_outside_the_quiver(branching_algebra):
     for v in (-1, 5):
         assert branching_algebra.paths_from(v) == branching_algebra.paths_into(v) == []
-        assert not branching_algebra.socle_criterion(v, Side.RIGHT)
+        assert not branching_algebra.socle_criterion(v)
 
 
 def test_self_opposite_loop():
@@ -266,7 +266,7 @@ def test_socle_criterion_against_representation_oracle(branching_algebra):
     a = branching_algebra
     expected = {0: True, 1: False, 2: True, 3: True, 4: True}
     for v, want in expected.items():
-        assert a.socle_criterion(v, Side.RIGHT) is want
+        assert a.socle_criterion(v) is want
         soc = socle(projective_module(a, v))[0]
         assert a.socle_dims(v) == soc.dims
         assert (soc.total_dim == 1) is want
@@ -281,14 +281,14 @@ def test_socle_dims_outside_the_quiver(branching_algebra):
 def test_socle_criterion_trivial_vertex():
     q = Quiver.from_arrows(1, [])
     a = build(q, [])
-    assert a.socle_criterion(0, Side.RIGHT)
-    assert a.is_qf2(Side.BOTH)
+    assert a.socle_criterion(0)
+    assert a.is_qf2()
 
 
 def test_is_qf2_sides(branching_algebra, cyclic_32):
-    assert not branching_algebra.is_qf2(Side.BOTH)
-    assert not branching_algebra.is_qf2(Side.RIGHT)
-    assert cyclic_32.is_qf2(Side.BOTH)
+    assert not branching_algebra.is_qf2()
+    assert not all(branching_algebra.socle_criterion(v) for v in range(5))
+    assert cyclic_32.is_qf2()
 
 
 def _sample_algebras():
@@ -307,11 +307,17 @@ def _sample_algebras():
 @given(st.data())
 def test_qf2_left_is_right_of_opposite(data):
     a = data.draw(st.sampled_from(_sample_algebras()))
-    assert a.is_qf2(Side.LEFT) == a.opposite().is_qf2(Side.RIGHT)
-    v = data.draw(st.integers(0, a.quiver.vertex_count - 1))
-    assert a.socle_criterion(v, Side.LEFT) == a.opposite().socle_criterion(v, Side.RIGHT)
+    n = a.quiver.vertex_count
+    # A e_v has simple socle when exactly one path into v has no nonzero
+    # extension on the left
+    arrows = [a.quiver.path_from_indices((b,)) for b in range(len(a.quiver.arrows))]
+    left = [sum(all(a.multiply(x, p) is None for x in arrows) for p in a.paths_into(v)) == 1
+            for v in range(n)]
+    assert a.is_qf2() == (all(left) and all(a.socle_criterion(v) for v in range(n)))
+    v = data.draw(st.integers(0, n - 1))
+    assert left[v] == a.opposite().socle_criterion(v)
 
 
 def test_nakayama_shaped_monomial_is_qf2(cyclic_32, a2, a3_full):
     for a in (cyclic_32, a2, a3_full):
-        assert a.is_qf2(Side.BOTH)
+        assert a.is_qf2()
