@@ -6,8 +6,9 @@ basis.  Elements are tagged by the idempotent pair (i, j) with
 x = e_i x e_j.  Two constructors produce them: the span of all paths of a
 monomial algebra between a chosen set of vertices, and End_B(M) for a
 basic module M with indecomposable summands whose endomorphism rings are
-local (morphism products are resolved exactly against hom-space bases;
-End(U) has the identity, then the endomorphisms with image in rad U).
+local (each hom-space basis is a reduced kernel basis, so a morphism
+product's coordinates are its entries at the basis's free cells; End(U)
+has the identity, then the endomorphisms with image in rad U).
 Tables hold nonzero products only.  End_B(M) is assembled from cached
 blocks of composites, one per summand triple, and a composite with an
 identity factor is read off the hom-space basis instead of computed.
@@ -138,7 +139,7 @@ class EndomorphismContext:
             if rep.is_zero:
                 raise ValueError("zero modules cannot be summands")
         self._hom = {}
-        self._hom_rrefs = {}
+        self._cells = {}
         self._blocks = {}
         self._isomorphic = {}
 
@@ -160,40 +161,30 @@ class EndomorphismContext:
             raise NotLocalError("endomorphism ring is not local")
         return [Morphism(rep, rep, [linalg.identity(d) for d in rep.dims])] + radicals
 
-    @staticmethod
-    def _flatten_morphism(f):
-        """Sparse vector of the vertex maps of f, each row-major, one after
-        another."""
-        vec = {}
-        offset = 0
-        for m, ncols in zip(f.vertex_maps, f.target.dims):
-            for row in m:
-                for c, x in row.items():
-                    vec[offset + c] = x
-                offset += ncols
-        return vec
-
-    def _hom_rref(self, a, b):
-        """Width of the flattened Hom(U_a, U_b) and the RREF of its basis
-        with markers, for :func:`linalg.coordinates`."""
+    def _free_cells(self, a, b):
+        """(k, cell) for each element k of the Hom(U_a, U_b) basis but the
+        identity of End(U_a): the last cell (v, r, c) where it is nonzero."""
         key = (a, b)
-        if key not in self._hom_rrefs:
-            rows = [self._flatten_morphism(f) for f in self.hom(a, b)]
-            width = sum(self.universe[a].dims[v] * self.universe[b].dims[v]
-                        for v in range(self.algebra.quiver.vertex_count))
-            self._hom_rrefs[key] = (
-                width, linalg.rref(linalg.with_markers(rows, width), width + len(rows)))
-        return self._hom_rrefs[key]
+        if key not in self._cells:
+            self._cells[key] = [
+                (k, max((v, r, c) for v, m in enumerate(f.vertex_maps)
+                        for r, row in enumerate(m) for c in row))
+                for k, f in enumerate(self.hom(a, b)) if k or a != b]
+        return self._cells[key]
 
     def compose_coords(self, dom, mid, cod, g_idx, f_idx):
         """Coordinates of f o g (g: U_dom -> U_mid first, then
-        f: U_mid -> U_cod) over the basis of Hom(U_dom, U_cod)."""
+        f: U_mid -> U_cod) over the basis of Hom(U_dom, U_cod): its entries
+        at the basis's free cells.  Each basis is a :func:`linalg.nullspace`
+        basis over the cells (v, r, c) in column order, after the identity
+        for End(U); a radical basis found otherwise (by a trace form, say)
+        must be reduced to that form.  A composite into End(U) has identity
+        coordinate 0, being radical or factoring through a summand not
+        isomorphic to U, as NotLocal and NotBasic guarantee."""
         comp = self.hom(dom, mid)[g_idx].then(self.hom(mid, cod)[f_idx])
-        width, red = self._hom_rref(dom, cod)
-        coords = linalg.coordinates(red, width, self._flatten_morphism(comp))
-        if coords is None:
-            raise ValueError("composite escaped the hom space; corrupt input")
-        return tuple(sorted(coords.items()))
+        coords = ((k, comp.vertex_maps[v][r].get(c))
+                  for k, (v, r, c) in self._free_cells(dom, cod))
+        return tuple((k, x) for k, x in coords if x)
 
     def composites(self, dom, mid, cod):
         """The nonzero composites f o g of basis elements g of

@@ -7,14 +7,15 @@ stored, so functions that need it take it explicitly.  All arithmetic is
 exact.
 
 Elimination goes through the single kernel :func:`rref`.  Ranks, right
-kernels, quotient maps and coordinates over given rows are all read off its
-result.  Zero columns are never touched, and integers stay integers until a
-pivot division needs a ``Fraction``.
+kernels and quotient maps are all read off its result; a kernel basis is
+reduced, so coordinates over it are a vector's values at its free columns.
+Zero columns are never touched, and integers stay integers until a pivot
+division needs a ``Fraction``.
 
 Rows are shared, never copied: once a row is stored in a matrix nothing
-mutates it.  :func:`rref`, :func:`coordinates` and :func:`mat_mul`
-each edit only rows they made themselves, so a matrix may be handed to a
-representation or morphism as built.
+mutates it.  :func:`rref` and :func:`mat_mul` each edit only rows they
+made themselves, so a matrix may be handed to a representation or
+morphism as built.
 
 Vectors are treated as rows throughout the package: a linear map V -> W of
 dimensions d_V x d_W is a d_V x d_W matrix acting by ``v @ A``.
@@ -106,7 +107,8 @@ def _kernel(red, ncols):
 
 def nullspace(rows, ncols):
     """Basis of the right kernel {x : row . x = 0 for every row}, as sparse
-    vectors in increasing order of their free column."""
+    vectors in increasing order of their free column.  Each is 1 at its
+    free column, its last nonzero one, where every other vector is 0."""
     return list(_kernel(rref(rows, ncols), ncols).values())
 
 
@@ -120,26 +122,3 @@ def quotient_maps(rows, ncols):
     """
     kernel = _kernel(rref(rows, ncols), ncols)
     return len(kernel), transpose(list(kernel.values()), ncols), [{f: 1} for f in kernel]
-
-
-def with_markers(rows, ncols):
-    """The rows with a unit marker for row i in column ncols + i; the RREF
-    of the result, of width ncols + len(rows), serves :func:`coordinates`."""
-    return [{**row, ncols + i: 1} for i, row in enumerate(rows)]
-
-
-def coordinates(red, ncols, vec):
-    """Coefficients ``{i: c}`` of the sparse vector vec over the rows whose
-    marked RREF is ``red``, or None when vec lies outside their span.
-
-    The coefficient of pivot row p is vec's value at p, so subtracting
-    those rows leaves zero on the first ncols columns exactly when vec lies
-    in the span, and minus the coefficients on the marker columns.
-    """
-    rest = dict(vec)
-    for p, x in vec.items():
-        if p in red:
-            _add(rest, -x, red[p])
-    if any(c < ncols for c in rest):
-        return None
-    return {c - ncols: -x for c, x in rest.items()}

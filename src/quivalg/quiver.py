@@ -95,6 +95,8 @@ class Quiver:
     def path_from_indices(self, idxs):
         if not idxs:
             raise ValueError("use trivial_path for length-zero paths")
+        if not 0 <= min(idxs) <= max(idxs) < len(self.arrows):
+            raise ValueError("arrow index outside the quiver")
         for k in range(len(idxs) - 1):
             if self.arrows[idxs[k]].target != self.arrows[idxs[k + 1]].source:
                 raise ValueError("arrows are not composable")
@@ -105,7 +107,7 @@ class Quiver:
             return 0 <= p.source < self.vertex_count and p.source == p.target
         try:
             q = self.path_from_indices(p.arrows)
-        except (ValueError, IndexError):
+        except ValueError:
             return False
         return q == p
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from fractions import Fraction
 
+import dense_linalg as dense
 from module_oracles import injective_module, simple_module
 from quivalg import linalg
 from quivalg.errors import NotBasicError, NotLocalError
@@ -27,6 +28,7 @@ from quivalg.nakayama import (
 )
 from quivalg.quiver import Quiver, QuiverShape
 from quivalg.representations import (
+    Representation,
     direct_sum,
     hom_space,
     projective_module,
@@ -258,38 +260,72 @@ def test_context_caching_consistency(cyclic_32):
     assert full.products == again.products
 
 
-def full_universe_contexts(max_n, max_c):
+def full_universe_contexts(max_n, max_c, change_basis=lambda rep: rep):
     """(context, universe size) for the full uniserial universe of every
-    Kupisch series within the bounds."""
+    Kupisch series within the bounds, each module passed through
+    ``change_basis``."""
     for ks in enumerate_kupisch(max_n, max_c):
         algebra = kupisch_to_algebra(ks)
-        reps = [uniserial_module(algebra, t, l) for t, l in all_uniserial_ids(algebra)]
+        reps = [change_basis(uniserial_module(algebra, t, l))
+                for t, l in all_uniserial_ids(algebra)]
         yield EndomorphismContext(reps), len(reps)
 
 
+def lower_triangular_basis(rep):
+    """The module in the basis at each vertex v given by the rows of the
+    lower unitriangular all-ones matrix S_v, so each arrow map M_a becomes
+    S_u M_a S_w^-1.  Hom bases between the path-basis uniserials have
+    disjoint supports; over this basis they overlap."""
+    def s(d):
+        return [{j: 1 for j in range(i + 1)} for i in range(d)]
+
+    def s_inverse(d):
+        return [{i: 1, **({i - 1: -1} if i else {})} for i in range(d)]
+
+    maps = [linalg.mat_mul(linalg.mat_mul(s(rep.dims[a.source]), m), s_inverse(rep.dims[a.target]))
+            for a, m in zip(rep.algebra.quiver.arrows, rep.maps)]
+    return Representation(rep.algebra, rep.dims, maps)
+
+
+def dense_entries(f):
+    """The entries of a morphism's vertex maps, each row-major, one map
+    after another: the cells (v, r, c) in order."""
+    return [row.get(c, 0) for m, ncols in zip(f.vertex_maps, f.target.dims)
+            for row in m for c in range(ncols)]
+
+
 def test_sparse_products_match_composition_oracle():
-    """Every composable pair of basis morphisms, identity factors included,
-    against its composite's coordinates computed by composition, over the
-    full uniserial universes of small Kupisch series; no row stores a zero
-    product."""
+    """Every product x * y of basis elements, identity factors included,
+    against the coordinates of the composite ``y.then(x)`` over the basis
+    of its hom space, solved densely, over the full uniserial universes of
+    small Kupisch series, in the path basis and in a lower triangular one;
+    no row stores a zero product."""
     checked = identities = 0
-    for ctx, size in full_universe_contexts(3, 4):
+    contexts = itertools.chain(full_universe_contexts(3, 4),
+                               full_universe_contexts(3, 4, lower_triangular_basis))
+    for ctx, size in contexts:
         c = ctx.endo_algebra(range(size))
-        first = {}
+        blocks = {}
         for x, tag in enumerate(c.tags):
-            first.setdefault(tag, x)
+            blocks.setdefault(tag, []).append(x)
         assert all(prod for row in c.products for prod in row.values())
         for x, (bi, bm) in enumerate(c.tags):
             for y, (bm2, bj) in enumerate(c.tags):
                 if bm2 != bm:
                     assert y not in c.products[x]
                     continue
-                kx, ky = x - first[(bi, bm)], y - first[(bm, bj)]
-                coords = ctx.compose_coords(bj, bm, bi, ky, kx)
-                want = tuple((first[(bi, bj)] + z, cz) for z, cz in coords)
+                comp = dense_entries(c.payloads[y].then(c.payloads[x]))
+                zs = blocks.get((bi, bj), [])
+                basis = [dense_entries(c.payloads[z]) for z in zs]
+                # the one kernel vector of [basis | composite] is
+                # (-coordinates, 1) when the composite lies in the span
+                kernel = dense.nullspace([list(col) for col in zip(*basis, comp)],
+                                         len(basis) + 1)
+                assert len(kernel) == 1 and kernel[0][-1] == 1
+                want = tuple((z, -k) for z, k in zip(zs, kernel[0]) if k)
                 assert c.products[x].get(y, ()) == want
                 checked += 1
-                identities += (bi == bm and kx == 0) or (bm == bj and ky == 0)
+                identities += c.payloads[x].is_isomorphism() or c.payloads[y].is_isomorphism()
     assert checked > identities > 0
 
 

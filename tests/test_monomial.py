@@ -67,6 +67,14 @@ def test_bad_relation_length():
         build(q, [q.path(["a"])])
 
 
+def test_relation_with_negative_arrow_indices_rejected():
+    q = Quiver.from_arrows(3, [("a", 0, 1), ("b", 1, 2)])
+    rel = q.path(["a", "b"])
+    assert build(q, [rel]).dimension == 5
+    with pytest.raises(BadRelationError, match="not a path of the quiver"):
+        build(q, [type(rel)(0, 2, (-2, -1))])
+
+
 def test_disconnected_rejected():
     q = Quiver.from_arrows(2, [])
     with pytest.raises(DisconnectedQuiverError):

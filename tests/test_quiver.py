@@ -111,6 +111,17 @@ def test_path_validation():
     assert not q.is_valid_path(type(q.path(["a1"]))(0, 4, (0, 1)))
 
 
+def test_arrow_indices_outside_the_quiver_are_rejected():
+    """A negative index must not wrap round to an arrow from the end."""
+    q = Quiver.from_arrows(3, [("a", 0, 1), ("b", 1, 2)])
+    path = type(q.path(["a"]))
+    for idxs in [(-2, -1), (0, -1), (-1,), (2,), (0, 2)]:
+        with pytest.raises(ValueError, match="outside the quiver"):
+            q.path_from_indices(idxs)
+        assert not q.is_valid_path(path(0, 2, idxs))
+    assert q.is_valid_path(path(0, 2, (0, 1)))
+
+
 def test_kupisch_walk():
     line = Quiver.from_arrows(3, [("a", 2, 0), ("b", 1, 2)])
     assert kupisch_walk(line) == (QuiverShape.LINEAR, [1, 2, 0])
