@@ -48,7 +48,8 @@ from .nakayama import (
     uniserial_module,
 )
 from .quiver import Quiver, shape_classify
-from .verify import DEFAULT_CORPORA, DEFAULT_MAX_C, DEFAULT_MAX_N, SUITES, run_suites
+from .verify import (
+    DEFAULT_CORPORA, DEFAULT_MAX_C, DEFAULT_MAX_N, SUITES, first_family, run_suites)
 
 
 def parse_algebra(text):
@@ -371,8 +372,9 @@ def _cmd_verify(args):
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.csv_summary())
+    family = first_family(report.suite)
     print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'} "
-          f"({report.counts.get('algebras', '-')} algebras, "
+          f"({report.counts.get(family, '-')} {family}, "
           f"{len(report.counterexamples)} counterexamples, "
           f"{report.wall_time_seconds:.1f}s)", file=sys.stderr)
     return 0 if report.passed else 2

@@ -106,21 +106,12 @@ def admissible_relation_sets(quiver, max_len):
     top = max_len
     results = []
     included = set()
+    relations = []  # the excluded words whose factors are all included
     adj = {}
-
-    def assemble():
-        rels = []
-        for w in candidates:
-            if w in included:
-                continue
-            l = len(w)
-            if l == 2 or (w[:-1] in included and w[1:] in included):
-                rels.append(w)
-        results.append(tuple(rels))
 
     def rec(k):
         if k == len(candidates):
-            assemble()
+            results.append(tuple(relations))
             return
         w = candidates[k]
         l = len(w)
@@ -137,7 +128,12 @@ def admissible_relation_sets(quiver, max_len):
             if l == top:
                 adj[w[:-1]].pop()
             included.discard(w)
-        rec(k + 1)
+        if allowed:
+            relations.append(w)
+            rec(k + 1)
+            relations.pop()
+        else:
+            rec(k + 1)
 
     rec(0)
     return results

@@ -81,19 +81,10 @@ def kupisch_to_algebra(ks):
     """The monomial algebra of a Kupisch series: an oriented line or cycle
     with the minimal relations cutting each projective down to length c_i."""
     n = ks.vertex_count
-    if ks.shape is QuiverShape.LINEAR:
-        arrows = tuple(Arrow(f"a{i}", i, i + 1) for i in range(n - 1))
-        quiver = Quiver(n, arrows)
-        relations = []
-        for i, c in enumerate(ks.lengths):
-            if c >= 2 and i + c <= n - 1:
-                relations.append(quiver.path_from_indices(tuple(range(i, i + c))))
-    else:
-        arrows = tuple(Arrow(f"a{i}", i, (i + 1) % n) for i in range(n))
-        quiver = Quiver(n, arrows)
-        relations = []
-        for i, c in enumerate(ks.lengths):
-            relations.append(quiver.path_from_indices(tuple((i + k) % n for k in range(c))))
+    cyclic = ks.shape is QuiverShape.CYCLIC
+    quiver = Quiver(n, tuple(Arrow(f"a{i}", i, (i + 1) % n) for i in range(n if cyclic else n - 1)))
+    relations = [quiver.path_from_indices(tuple((i + k) % n for k in range(c)))
+                 for i, c in enumerate(ks.lengths) if cyclic or (c >= 2 and i + c <= n - 1)]
     return MonomialAlgebra(quiver, tuple(relations))
 
 

@@ -8,11 +8,14 @@ quiver and merged in a fixed order, so reports do not depend on the
 worker count.
 """
 
+import csv
+import io
 import json
 import os
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 
 from . import __version__
 from .endo import (
@@ -100,15 +103,15 @@ class VerificationReport:
         os.replace(tmp, path)
 
     def csv_summary(self):
-        lines = ["key,value"]
-        lines.append(f"suite,{self.suite}")
-        lines.append(f"passed,{str(self.passed).lower()}")
-        for k, v in sorted(self.bounds.items()):
-            lines.append(f"bounds.{k},{v}")
-        for k, v in sorted(self.counts.items()):
-            lines.append(f"counts.{k},{v}")
-        lines.append(f"counterexamples,{len(self.counterexamples)}")
-        return "\n".join(lines) + "\n"
+        """Key/value rows; a value with a comma, such as the corpus bounds,
+        is CSV-quoted."""
+        rows = [("key", "value"), ("suite", self.suite), ("passed", str(self.passed).lower())]
+        rows += [(f"bounds.{k}", v) for k, v in sorted(self.bounds.items())]
+        rows += [(f"counts.{k}", v) for k, v in sorted(self.counts.items())]
+        rows.append(("counterexamples", len(self.counterexamples)))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
 
 
 # -- corpus sweep ---------------------------------------------------------------
@@ -185,25 +188,9 @@ def sweep_corpus(corpora, workers=1):
 # -- suites ---------------------------------------------------------------------
 
 
-def _domdim_ge(fact_domdim, k):
-    return DomDim(**fact_domdim).ge(k)
-
-
 def main_theorem_corpus_checks(facts):
-    """Counts and counterexamples for: domdim >= 2 forces a Nakayama-shaped
-    quiver, on a list of algebra facts."""
-    counts = {"algebras": len(facts), "domdim_ge2": 0, "nakayama_shape": 0}
-    counterexamples = []
-    for f in facts:
-        form = {"canonical_form": f["form"]}
-        naka = f["shape"] != QuiverShape.NOT_NAKAYAMA.value
-        if naka:
-            counts["nakayama_shape"] += 1
-        if _domdim_ge(f["domdim"], 2):
-            counts["domdim_ge2"] += 1
-            if not naka:
-                counterexamples.append({**form, "implication": "domdim>=2 => nakayama shape"})
-    return counts, counterexamples
+    """Counts and counterexamples of the main-theorem rows of the corpus table."""
+    return _corpus_checks("main-theorem", facts)
 
 
 def _instances(series, candidates):
@@ -283,59 +270,13 @@ def kupisch_side_checks(max_n, max_c):
 
 
 def qf2_chain_checks(facts):
-    """domdim >= 2 forces QF-2 on both sides, two-sided QF-2 forces a
-    Nakayama-shaped quiver, and the socle dimension vector of every
-    projective read off the path basis matches its linear-algebra socle."""
-    counts = {"algebras": len(facts), "qf2_both": 0, "domdim_ge2": 0}
-    counterexamples = []
-    for f in facts:
-        form = {"canonical_form": f["form"]}
-        qf2_both = f["qf2_right"] and f["qf2_left"]
-        naka = f["shape"] != QuiverShape.NOT_NAKAYAMA.value
-        if qf2_both:
-            counts["qf2_both"] += 1
-        if _domdim_ge(f["domdim"], 2):
-            counts["domdim_ge2"] += 1
-            if not qf2_both:
-                counterexamples.append({**form, "implication": "domdim>=2 => QF-2 on both sides"})
-        if qf2_both and not naka:
-            counterexamples.append({**form, "implication": "monomial QF-2 => nakayama shape"})
-        if not f["socle_agree"]:
-            counterexamples.append({
-                **form, "implication": "socle criterion == socle dimension oracle"})
-    return counts, counterexamples
+    """Counts and counterexamples of the qf2-chain rows of the corpus table."""
+    return _corpus_checks("qf2-chain", facts)
 
 
 def cross_check_facts(facts):
-    """Dominant-dimension characterisations: a minimal faithful
-    projective-injective exists exactly at domdim >= 1, the double
-    centraliser holds exactly at domdim >= 2, domdim is invariant under
-    opposites, and at domdim >= 1 the base algebra is Nakayama and the two
-    corner algebras have equal dimension."""
-    counts = {"algebras": len(facts), "domdim_ge1": 0, "dc_holds": 0}
-    counterexamples = []
-    for f in facts:
-        form = {"canonical_form": f["form"]}
-        ge1 = _domdim_ge(f["domdim"], 1)
-        ge2 = _domdim_ge(f["domdim"], 2)
-        if ge1:
-            counts["domdim_ge1"] += 1
-        if f["dc_holds"]:
-            counts["dc_holds"] += 1
-        if ge1 != (f["pi_right"] is not None) or ge1 != (f["pi_left"] is not None):
-            counterexamples.append({**form, "implication":
-                                    "domdim>=1 <=> minimal faithful projective-injective exists"})
-        if ge2 != f["dc_holds"]:
-            counterexamples.append({**form, "implication": "domdim>=2 <=> double centralizer"})
-        if f["domdim"] != f["domdim_op"]:
-            counterexamples.append({**form, "implication": "domdim(A) == domdim(op A)",
-                                    "domdim": f["domdim"], "domdim_op": f["domdim_op"]})
-        if ge1 and f["base_nakayama"] is not True:
-            counterexamples.append({
-                **form, "implication": "base algebra fAf is componentwise Nakayama"})
-        if ge1 and f["dim_eAe"] != f["dim_fAf"]:
-            counterexamples.append({**form, "implication": "dim eAe == dim fAf"})
-    return counts, counterexamples
+    """Counts and counterexamples of the cross-checks rows of the corpus table."""
+    return _corpus_checks("cross-checks", facts)
 
 
 def structural_oracle_checks(max_n, max_c):
@@ -454,22 +395,80 @@ def morita_checks(max_n, max_c):
     return counts, counterexamples
 
 
+# Named predicates on the facts of one algebra, read by the corpus table;
+# domdim >= k is decided once per dominant dimension value.
+_domdim_ge = cache(lambda k, kind, value: DomDim(kind, value).ge(k))
+_PREDICATES = {
+    "domdim_ge1": lambda f: _domdim_ge(1, **f["domdim"]),
+    "domdim_ge2": lambda f: _domdim_ge(2, **f["domdim"]),
+    "nakayama_shape": lambda f: f["shape"] != QuiverShape.NOT_NAKAYAMA.value,
+    "qf2_both": lambda f: f["qf2_right"] and f["qf2_left"],
+    "socle_agree": lambda f: f["socle_agree"],
+    "dc_holds": lambda f: f["dc_holds"],
+    "proj_inj_iff_domdim_ge1": lambda f: (
+        (f["pi_right"] is not None) == (f["pi_left"] is not None) == _domdim_ge(1, **f["domdim"])),
+    "dc_iff_domdim_ge2": lambda f: f["dc_holds"] == _domdim_ge(2, **f["domdim"]),
+    "domdim_op_equal": lambda f: f["domdim"] == f["domdim_op"],
+    "base_nakayama": lambda f: f["base_nakayama"] is True,
+    "corners_equal": lambda f: f["dim_eAe"] == f["dim_fAf"],
+}
+
+
+def _corpus_checks(suite, facts):
+    """Counts of the suite's counted predicates over ``facts``, and one
+    counterexample per fact and implication whose premise (None: always)
+    holds and whose conclusion does not."""
+    counted, implications = _SUITE_TABLE[suite].corpus
+    counts = {"algebras": len(facts), **dict.fromkeys(counted, 0)}
+    counterexamples = []
+    for f in facts:
+        for name in counted:
+            if _PREDICATES[name](f):
+                counts[name] += 1
+        for text, premise, conclusion, keys in implications:
+            if (premise is None or _PREDICATES[premise](f)) and not _PREDICATES[conclusion](f):
+                counterexamples.append({"canonical_form": f["form"], "implication": text,
+                                        **{k: f[k] for k in keys}})
+    return counts, counterexamples
+
+
 # A suite checks the corpus facts, the (max_n, max_c) families, or both; its
 # report records the named bounds, and it fails when a family it sweeps is
-# empty instead of passing vacuously.
-_Suite = namedtuple("_Suite", "facts_checks family_checks bounds families")
+# empty instead of passing vacuously.  A corpus suite counts the algebras and
+# its counted predicates, and checks each implication (text, premise or None,
+# conclusion, fact keys its counterexample carries) on every algebra.
+_Suite = namedtuple("_Suite", "corpus family_checks bounds families")
 _SUITE_TABLE = {
     "main-theorem": _Suite(
-        main_theorem_corpus_checks, kupisch_side_checks,
+        (("domdim_ge2", "nakayama_shape"),
+         (("domdim>=2 => nakayama shape", "domdim_ge2", "nakayama_shape", ()),)),
+        kupisch_side_checks,
         ("corpora", "max_n", "max_c", "comparison_max_n", "comparison_max_c"),
         ("algebras", "endo_instances", "comparison_series")),
     "yamagata": _Suite(None, yamagata_checks, ("max_n", "max_c"), ("series", "candidates")),
-    "qf2-chain": _Suite(qf2_chain_checks, None, ("corpora",), ("algebras",)),
+    "qf2-chain": _Suite(
+        (("qf2_both", "domdim_ge2"),
+         (("domdim>=2 => QF-2 on both sides", "domdim_ge2", "qf2_both", ()),
+          ("monomial QF-2 => nakayama shape", "qf2_both", "nakayama_shape", ()),
+          ("socle criterion == socle dimension oracle", None, "socle_agree", ()))),
+        None, ("corpora",), ("algebras",)),
     "morita": _Suite(None, morita_checks, ("max_n", "max_c"), ("series", "instances")),
-    "cross-checks": _Suite(cross_check_facts, structural_oracle_checks,
-                           ("corpora", "max_n", "max_c"), ("algebras", "kupisch_series")),
+    "cross-checks": _Suite(
+        (("domdim_ge1", "dc_holds"),
+         (("domdim>=1 <=> minimal faithful projective-injective exists", None,
+           "proj_inj_iff_domdim_ge1", ()),
+          ("domdim>=2 <=> double centralizer", None, "dc_iff_domdim_ge2", ()),
+          ("domdim(A) == domdim(op A)", None, "domdim_op_equal", ("domdim", "domdim_op")),
+          ("base algebra fAf is componentwise Nakayama", "domdim_ge1", "base_nakayama", ()),
+          ("dim eAe == dim fAf", "domdim_ge1", "corners_equal", ()))),
+        structural_oracle_checks, ("corpora", "max_n", "max_c"), ("algebras", "kupisch_series")),
 }
 SUITES = tuple(_SUITE_TABLE)
+
+
+def first_family(suite):
+    """The family a suite sweeps first, which its one-line summary names."""
+    return _SUITE_TABLE[suite].families[0]
 
 
 def suite_report(suite, bounds, counts, counterexamples, started):
@@ -501,10 +500,10 @@ def run_suites(suites, bounds=DEFAULT_CORPORA, max_n=DEFAULT_MAX_N, max_c=DEFAUL
         t0 = time.time()
         row = _SUITE_TABLE[suite]
         counts, counterexamples = {}, []
-        if row.facts_checks is not None:
+        if row.corpus is not None:
             if facts is None:
                 facts = sweep_corpus(bounds, workers=workers)
-            counts, counterexamples = row.facts_checks(facts)
+            counts, counterexamples = _corpus_checks(suite, facts)
         if row.family_checks is not None:
             more_counts, more = row.family_checks(max_n, max_c)
             counts.update(more_counts)

@@ -359,6 +359,12 @@ def test_cli_verify_rejects_bad_bounds(capsys, argv, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_cli_verify_summary_names_the_swept_family(capsys):
+    assert main(["verify", "morita", "--max-n", "1", "--max-c", "2"]) == 0
+    assert capsys.readouterr().err.startswith(
+        "suite morita: PASS (1 series, 0 counterexamples, ")
+
+
 def test_cli_verify_empty_family_fails(capsys):
     # no constant cyclic series has lengths <= 1, so morita sweeps nothing
     assert main(["verify", "morita", "--max-c", "1"]) == 2

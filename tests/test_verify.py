@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -160,10 +162,14 @@ def test_report_bytes_identical_across_runs(tmp_path):
 
 def test_report_csv_summary():
     report = _qf2_chain_tiny()
-    csv = report.csv_summary()
-    assert csv.splitlines()[0] == "key,value"
-    assert "suite,qf2-chain" in csv
-    assert "passed,true" in csv
+    text = report.csv_summary()
+    assert text.splitlines()[0] == "key,value"
+    assert "suite,qf2-chain" in text
+    assert "passed,true" in text
+    # the corpus bounds hold commas, so they are quoted into one field
+    rows = list(csv.reader(io.StringIO(text)))
+    assert all(len(row) == 2 for row in rows)
+    assert ["bounds.corpora", str(report.bounds["corpora"])] in rows
 
 
 def test_failing_report_shape():
@@ -240,3 +246,52 @@ def test_empty_families_fail():
     assert {ce["count"] for ce in report.counterexamples} == {"series", "instances"}
     counts, ces = qf2_chain_checks([])
     assert not suite_report("qf2-chain", {}, counts, ces, 0.0).passed
+
+
+# One fact that passes every corpus implication, and for each implication
+# the overrides under which its suite reports that implication alone.
+PASSING_FACT = {
+    "form": "synthetic", "dim": 1, "shape": "linear",
+    "domdim": {"kind": "finite", "value": 2}, "domdim_op": {"kind": "finite", "value": 2},
+    "qf2_right": True, "qf2_left": True, "socle_agree": True,
+    "pi_right": [0], "pi_left": [1], "dc_holds": True, "dc_dim_commutant": 1,
+    "base_nakayama": True, "dim_eAe": 1, "dim_fAf": 1,
+}
+CORPUS_CHECKS = {"main-theorem": main_theorem_corpus_checks, "qf2-chain": qf2_chain_checks,
+                 "cross-checks": cross_check_facts}
+BREAKING = [
+    ("main-theorem", "domdim>=2 => nakayama shape",
+     {"shape": "not_nakayama", "qf2_left": False}),
+    ("qf2-chain", "domdim>=2 => QF-2 on both sides", {"qf2_left": False}),
+    ("qf2-chain", "monomial QF-2 => nakayama shape", {"shape": "not_nakayama"}),
+    ("qf2-chain", "socle criterion == socle dimension oracle", {"socle_agree": False}),
+    ("cross-checks", "domdim>=1 <=> minimal faithful projective-injective exists",
+     {"pi_left": None}),
+    ("cross-checks", "domdim>=2 <=> double centralizer", {"dc_holds": False}),
+    ("cross-checks", "domdim(A) == domdim(op A)",
+     {"domdim_op": {"kind": "finite", "value": 3}}),
+    ("cross-checks", "base algebra fAf is componentwise Nakayama", {"base_nakayama": False}),
+    ("cross-checks", "dim eAe == dim fAf", {"dim_eAe": 2}),
+]
+
+
+def test_the_passing_fact_passes_every_corpus_suite():
+    for checks in CORPUS_CHECKS.values():
+        counts, ces = checks([PASSING_FACT])
+        assert ces == [] and counts["algebras"] == 1
+
+
+def test_every_corpus_implication_has_a_breaking_case():
+    rows = {(suite, row[0]) for suite, entry in verify._SUITE_TABLE.items()
+            if entry.corpus is not None for row in entry.corpus[1]}
+    assert {(suite, text) for suite, text, _ in BREAKING} == rows
+
+
+@pytest.mark.parametrize("suite,implication,overrides", BREAKING,
+                         ids=[f"{suite}:{'+'.join(o)}" for suite, _, o in BREAKING])
+def test_each_corpus_implication_can_fail(suite, implication, overrides):
+    """No corpus implication is vacuous: on a fact that breaks it alone, its
+    suite reports exactly that implication."""
+    _, ces = CORPUS_CHECKS[suite]([{**PASSING_FACT, **overrides}])
+    assert [ce["implication"] for ce in ces] == [implication]
+    assert ces[0]["canonical_form"] == "synthetic"
