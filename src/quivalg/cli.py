@@ -140,7 +140,7 @@ def paper_example_text():
 
 
 def describe_basic(c):
-    if not c.radical:
+    if c.dimension == c.num_summands:
         return " x ".join(["K"] * c.num_summands)
     return f"dim {c.dimension} basic algebra with {c.num_summands} summands"
 
@@ -327,10 +327,10 @@ def _cmd_qf2(algebra, side):
 
 def _cmd_base(algebra):
     base = base_algebra(algebra)
-    verts = sorted(base.payloads[i].source for i in base.idempotents)
+    verts = sorted(base.payloads[(i, i)][0].source for i in range(base.num_summands))
     print(f"idempotent vertices: {[v + 1 for v in verts]}")
     print(f"dimension: {base.dimension}")
-    print(f"radical dimension: {len(base.radical)}")
+    print(f"radical dimension: {base.dimension - base.num_summands}")
     print(f"base algebra: {describe_basic(base)}")
     print(f"nakayama (componentwise): {is_nakayama_algebra(base)}")
 

@@ -1,17 +1,20 @@
 """Structure-constant algebras: endomorphism rings and corner algebras fAf.
 
-A BasicAlgebra is an exact multiplication table together with a marked
-complete set of orthogonal primitive idempotents and a structural radical
-basis.  Elements are tagged by the idempotent pair (i, j) with
-x = e_i x e_j.  Two constructors produce them: the span of all paths of a
-monomial algebra between a chosen set of vertices, and End_B(M) for a
+A BasicAlgebra is an exact multiplication table held block by block: a
+basis of each e_i C e_j for a complete set of orthogonal primitive
+idempotents, whose first element in e_i C e_i is e_i and whose other
+elements span the radical, and the products of one block pair per
+summand triple.  Two constructors produce them: the span of all paths of
+a monomial algebra between a chosen set of vertices, and End_B(M) for a
 basic module M with indecomposable summands whose endomorphism rings are
 local (each hom-space basis is a reduced kernel basis, so a morphism
 product's coordinates are its entries at the basis's free cells; End(U)
 has the identity, then the endomorphisms with image in rad U).
-Tables hold nonzero products only.  End_B(M) is assembled from cached
-blocks of composites, one per summand triple, and a composite with an
-identity factor is read off the hom-space basis instead of computed.
+Blocks hold nonzero products only.  The product blocks of End_B(M) are
+the context's cached blocks of composites, one per summand triple, and a
+composite with an identity factor is read off the hom-space basis
+instead of computed.  The Gabriel quiver, the socles and the Kupisch
+series are read off the blocks.
 
 The product is written in function-composition order: for endomorphism
 algebras x * y applies y first, which makes End_B(B) literally carry the
@@ -34,70 +37,57 @@ from .quiver import (
     kupisch_walk,
     shape_classify,
 )
-from .representations import Morphism, hom_space, radical_endomorphisms
+from .representations import Morphism, hom_dim, hom_space, radical_endomorphisms
 from .nakayama import KupischSeries
 
 
 class BasicAlgebra:
-    """Finite dimensional basic algebra given by exact structure constants.
+    """Finite dimensional basic algebra given by exact structure constants,
+    held block by block.
 
-    ``tags[x] = (i, j)`` records x in e_i C e_j.  ``products[x]`` is a
-    sparse row ``{y: ((z, c), ...)}`` holding the coefficient vector of
-    x*y for every y with x*y != 0, and no other y.  ``radical`` lists the
-    indices of a basis of rad C, and ``payloads`` keeps the path or
-    morphism each basis element came from.
+    ``dims[(i, j)]`` is dim e_i C e_j, stored when nonzero; element 0 of
+    e_i C e_i is e_i and every other element of a block is radical.
+    ``blocks[(i, m, j)]`` lists the nonzero products x*y of x in e_i C e_m
+    and y in e_m C e_j as (x index, y index, coordinates) triples, each
+    index local to its block and the coordinates ((z, c), ...) over
+    e_i C e_j; a triple without one may be left out.  ``payloads[(i, j)]``
+    keeps the path or morphism each basis element of a block came from.
     """
 
-    def __init__(self, num_summands, idempotents, tags, products, radical, payloads):
+    def __init__(self, num_summands, dims, blocks, payloads):
         self.num_summands = num_summands
-        self.idempotents = tuple(idempotents)
-        self.tags = tuple(tags)
-        self.products = products
-        self.radical = tuple(radical)
-        self.payloads = tuple(payloads)
+        self.dims = dims
+        self.blocks = blocks
+        self.payloads = payloads
 
     @property
     def dimension(self):
-        return len(self.tags)
-
-    def right_block(self, i):
-        """Basis indices of the right projective e_i C."""
-        return [x for x in range(self.dimension) if self.tags[x][0] == i]
-
-    def left_block(self, i):
-        """Basis indices of the left projective C e_i."""
-        return [x for x in range(self.dimension) if self.tags[x][1] == i]
+        return sum(self.dims.values())
 
     @cached_property
     def _gabriel(self):
-        """Gabriel quiver plus radical generators (a basis of rad mod rad^2)."""
-        n = self.num_summands
-        rad_set = set(self.radical)
-        rad_blocks = {}
-        for x in self.radical:
-            rad_blocks.setdefault(self.tags[x], []).append(x)
-        # columns run backwards in a block: an echelon row's pivot is its last element
-        pos_in_block = {x: len(xs) - 1 - k for xs in rad_blocks.values() for k, x in enumerate(xs)}
-        squares = {}  # block -> sparse vectors spanning that block of rad^2
-        for x in self.radical:
-            for y, prod in self.products[x].items():
-                if y not in rad_set:
-                    continue
-                if any(z not in rad_set for z, _ in prod):
-                    raise ValueError("rad * rad escaped the radical span")
-                key = (self.tags[x][0], self.tags[y][1])
-                squares.setdefault(key, []).append({pos_in_block[z]: c for z, c in prod})
+        """Gabriel quiver plus radical generators (a basis of rad mod rad^2),
+        the generators as (i, j, local index)."""
+        squares = {}  # block -> coordinates of the products spanning its part of rad^2
+        for (i, m, j), block in self.blocks.items():
+            for kx, ky, coords in block:
+                if (kx or i != m) and (ky or m != j):
+                    if i == j and any(not z for z, _ in coords):
+                        raise ValueError("rad * rad escaped the radical span")
+                    squares.setdefault((i, j), []).append(coords)
         arrows, generators = [], []
-        for key in sorted(rad_blocks):
+        for (i, j), dim in sorted(self.dims.items()):
             # a radical element is a generator when it is independent of
             # rad^2 and of the radical elements before it: when no echelon
-            # row of rad^2 ends at it
-            red = linalg.rref(squares.get(key, []), len(rad_blocks[key]))
-            for x in rad_blocks[key]:
-                if pos_in_block[x] not in red:
-                    generators.append(x)
-                    arrows.append(Arrow(f"g{len(arrows)}", key[0], key[1]))
-        return Quiver(n, tuple(arrows)), tuple(generators)
+            # row of rad^2 ends at it; element z is column -z, so a row's
+            # pivot is its last element
+            rows = [{-z: x for z, x in coords} for coords in squares.get((i, j), ())]
+            pivots = {-p for p in linalg.echelon(rows, dim)}
+            for k in range(i == j, dim):
+                if k not in pivots:
+                    generators.append((i, j, k))
+                    arrows.append(Arrow(f"g{len(arrows)}", i, j))
+        return Quiver(self.num_summands, tuple(arrows)), tuple(generators)
 
     def radical_generators(self):
         return self._gabriel[1]
@@ -107,20 +97,22 @@ def monomial_basic_algebra(algebra, vertices):
     """The corner algebra spanned by all basis paths with both endpoints in
     ``vertices``; used for fAf, and with all vertices for viewing a
     monomial algebra through the BasicAlgebra interface."""
-    verts = sorted(vertices)
-    vset = set(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    paths = [p for p in algebra.basis if p.source in vset and p.target in vset]
-    index = {p: x for x, p in enumerate(paths)}
-    tags = [(pos[p.source], pos[p.target]) for p in paths]
-    idempotents = [index[algebra.quiver.trivial_path(v)] for v in verts]
-    leaving = {v: [(y, q) for y, q in enumerate(paths) if q.source == v] for v in verts}
-    products = []
-    for p in paths:
-        prods = ((y, algebra.multiply(p, q)) for y, q in leaving[p.target])
-        products.append({y: ((index[r], Fraction(1)),) for y, r in prods if r is not None})
-    radical = [x for x, p in enumerate(paths) if p.length >= 1]
-    return BasicAlgebra(len(verts), idempotents, tags, products, radical, payloads=paths)
+    pos = {v: i for i, v in enumerate(sorted(vertices))}
+    payloads = {}  # the basis is sorted by length, so e_v comes first in its block
+    for p in algebra.basis:
+        if p.source in pos and p.target in pos:
+            payloads.setdefault((pos[p.source], pos[p.target]), []).append(p)
+    index = {p: k for paths in payloads.values() for k, p in enumerate(paths)}
+    blocks = {}
+    for (i, m), left in payloads.items():
+        for j in range(len(pos)):
+            if (m, j) in payloads and (i, j) in payloads:
+                prods = ((kx, ky, algebra.multiply(p, q)) for kx, p in enumerate(left)
+                         for ky, q in enumerate(payloads[(m, j)]))
+                blocks[(i, m, j)] = [(kx, ky, ((index[r], Fraction(1)),))
+                                     for kx, ky, r in prods if r is not None]
+    dims = {key: len(paths) for key, paths in payloads.items()}
+    return BasicAlgebra(len(pos), dims, blocks, payloads)
 
 
 class EndomorphismContext:
@@ -157,7 +149,7 @@ class EndomorphismContext:
         map; raises NotLocal unless those span a hyperplane of End(U_a)."""
         rep = self.universe[a]
         radicals = radical_endomorphisms(rep)
-        if len(radicals) != len(hom_space(rep, rep)) - 1:
+        if len(radicals) != hom_dim(rep, rep) - 1:
             raise NotLocalError("endomorphism ring is not local")
         return [Morphism(rep, rep, [linalg.identity(d) for d in rep.dims])] + radicals
 
@@ -180,9 +172,11 @@ class EndomorphismContext:
         for End(U); a radical basis found otherwise (by a trace form, say)
         must be reduced to that form.  A composite into End(U) has identity
         coordinate 0, being radical or factoring through a summand not
-        isomorphic to U, as NotLocal and NotBasic guarantee."""
-        comp = self.hom(dom, mid)[g_idx].then(self.hom(mid, cod)[f_idx])
-        coords = ((k, comp.vertex_maps[v][r].get(c))
+        isomorphic to U, as NotLocal and NotBasic guarantee.  Only those
+        entries are computed: row r of g's map at v times column c of f's."""
+        g = self.hom(dom, mid)[g_idx].vertex_maps
+        f = self.hom(mid, cod)[f_idx].vertex_maps
+        coords = ((k, sum(x * f[v][t].get(c, 0) for t, x in g[v][r].items()))
                   for k, (v, r, c) in self._free_cells(dom, cod))
         return tuple((k, x) for k, x in coords if x)
 
@@ -228,26 +222,21 @@ class EndomorphismContext:
                     raise NotBasicError(
                         f"summands {subset[i]} and {subset[j]} are isomorphic")
         n = len(subset)
-        start = {}  # tag (i, j) -> index of the first basis element of e_i C e_j
-        tags, payloads = [], []
-        for bi in range(n):
-            for bj in range(n):
-                homs = self.hom(subset[bj], subset[bi])
-                if homs:
-                    start[(bi, bj)] = len(tags)
-                    tags += [(bi, bj)] * len(homs)
-                    payloads += homs
-        products = [{} for _ in tags]
-        for (bi, bm), x0 in start.items():
-            for bj in range(n):
-                if (bm, bj) in start:
-                    y0, z0 = start[(bm, bj)], start.get((bi, bj))
-                    for kx, ky, coords in self.composites(subset[bj], subset[bm], subset[bi]):
-                        products[x0 + kx][y0 + ky] = tuple((z0 + z, c) for z, c in coords)
-        idempotents = [start[(i, i)] for i in range(n)]
-        radical = [x for x, tag in enumerate(tags) if x != start[tag] or tag[0] != tag[1]]
-        return BasicAlgebra(n, idempotents, tags=tags, products=products,
-                            radical=radical, payloads=payloads)
+        payloads = {(bi, bj): homs for bi in range(n) for bj in range(n)
+                    if (homs := self.hom(subset[bj], subset[bi]))}
+        dims = {key: len(homs) for key, homs in payloads.items()}
+        after = {}  # bm -> the bj with e_bm C e_bj nonzero
+        for bm, bj in dims:
+            after.setdefault(bm, []).append(bj)
+        # a product block is the cached composites block of its summands
+        blocks = {}
+        for bi, bm in dims:
+            for bj in after[bm]:
+                if (bi, bj) in dims:
+                    block = self.composites(subset[bj], subset[bm], subset[bi])
+                    if block:
+                        blocks[(bi, bm, bj)] = block
+        return BasicAlgebra(n, dims, blocks, payloads)
 
 
 def endomorphism_algebra(summands):
@@ -279,21 +268,40 @@ def is_nakayama_algebra(c):
 def is_qf2_algebra(c):
     """Simple right socle for every e_i C and simple left socle for every
     C e_i, computed against generators of the radical."""
-    gens = {g: gi for gi, g in enumerate(c.radical_generators())}
-    d = c.dimension
+    n, d = c.num_summands, c.dimension
+    gens = {}  # block -> {local index: column offset of the generator}
+    for gn, (a, b, k) in enumerate(c.radical_generators()):
+        gens.setdefault((a, b), {})[k] = gn * d
+    # element k of e_i C e_j is row right_start[(i, j)] + k of e_i C and
+    # row left_start[(i, j)] + k of C e_j
+    before, after = [[] for _ in range(n)], [[] for _ in range(n)]
+    right_start, left_start, right_size, left_size = {}, {}, [0] * n, [0] * n
+    for (i, j), dim in c.dims.items():
+        before[j].append(i)
+        after[i].append(j)
+        right_start[(i, j)], right_size[i] = right_size[i], right_size[i] + dim
+        left_start[(i, j)], left_size[j] = left_size[j], left_size[j] + dim
     # x is in the socle when x g = 0 (g x = 0 on the left) for every
-    # generator g; the products fill disjoint column ranges
-    right = [{gens[g] * d + z: coeff for g, prod in row.items() if g in gens
-              for z, coeff in prod} for row in c.products]
-    left = [{} for _ in range(d)]
-    for g, gi in gens.items():
-        for x, prod in c.products[g].items():
-            left[x].update((gi * d + z, coeff) for z, coeff in prod)
-    for i in range(c.num_summands):
-        for rows in ([right[x] for x in c.right_block(i)], [left[x] for x in c.left_block(i)]):
-            if len(rows) - linalg.rank(rows, len(gens) * d) != 1:
-                return False
-    return True
+    # generator g; the products by one generator fill one column range
+    right, left = [{} for _ in range(n)], [{} for _ in range(n)]  # {row: sparse row}
+
+    def fill(rows, start, block, offsets, side):
+        # the (kx, ky, coords) entries whose factor at side (0 left, 1 right)
+        # is a generator go to row start + the other factor's index
+        for entry in block:
+            if (kg := entry[side]) in offsets:
+                row = rows.setdefault(start + entry[1 - side], {})
+                for z, x in entry[2]:
+                    row[offsets[kg] + z] = x
+
+    for (a, b), offsets in gens.items():
+        for i in before[a]:
+            fill(right[i], right_start[(i, a)], c.blocks.get((i, a, b), ()), offsets, 1)
+        for j in after[b]:
+            fill(left[j], left_start[(b, j)], c.blocks.get((a, b, j), ()), offsets, 0)
+    width = len(c.radical_generators()) * d
+    return all(size - linalg.rank(list(rows.values()), width) == 1
+               for size, rows in zip(right_size + left_size, right + left))
 
 
 def kupisch_reading(c):
@@ -305,7 +313,8 @@ def kupisch_reading(c):
     if walk is None:
         return None
     shape, order = walk
-    return KupischSeries(shape, tuple(len(c.right_block(v)) for v in order)), order
+    lengths = [sum(dim for (i, _), dim in c.dims.items() if i == v) for v in order]
+    return KupischSeries(shape, tuple(lengths)), order
 
 
 def kupisch_of_endo(c):

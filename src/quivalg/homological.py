@@ -125,7 +125,7 @@ def _syzygy(opposite, generators, act):
         if rows:
             radical = [along(row, a) for a in quiver.in_arrows[y]
                        for row in kernel[quiver.arrows[a].source]]
-            pivots = linalg.rref(radical, width[y])
+            pivots = linalg.echelon(radical, width[y])
             syzygy_generators += [(y, row) for row in rows if min(row) not in pivots]
     return syzygy_generators
 

@@ -6,15 +6,16 @@ the package.  An r x c matrix has r rows and column keys below c; c is not
 stored, so functions that need it take it explicitly.  All arithmetic is
 exact.
 
-Elimination goes through the single kernel :func:`rref`.  Ranks, right
-kernels and quotient maps are all read off its result; a kernel basis is
-reduced, so coordinates over it are a vector's values at its free columns.
-Zero columns are never touched, and integers stay integers until a pivot
-division needs a ``Fraction``.
+Elimination goes through the single forward kernel :func:`echelon`.
+Ranks and pivot sets are read off it; :func:`rref` is it plus one
+back-substitution pass, and right kernels and quotient maps are read off
+that.  A kernel basis is reduced, so coordinates over it are a vector's
+values at its free columns.  Zero columns are never touched, and integers
+stay integers until a pivot division needs a ``Fraction``.
 
 Rows are shared, never copied: once a row is stored in a matrix nothing
-mutates it.  :func:`rref` and :func:`mat_mul` each edit only rows they
-made themselves, so a matrix may be handed to a representation or
+mutates it.  :func:`echelon`, :func:`rref` and :func:`mat_mul` each edit only
+rows they made themselves, so a matrix may be handed to a representation or
 morphism as built.
 
 Vectors are treated as rows throughout the package: a linear map V -> W of
@@ -61,6 +62,32 @@ def _add(row, f, src):
             del row[c]
 
 
+def echelon(rows, ncols):
+    """Row echelon form of the span of sparse rows of width ncols, by
+    forward reduction only.
+
+    Returns ``{pivot: row}`` in insertion order: each row is 1 at its
+    pivot, which is its least column, and no two rows share a pivot.  The
+    pivot set depends only on the span, so it gives the rank and the
+    pivots of the RREF.  Zero values in the input are ignored.
+    """
+    red = {}
+    for row in rows:
+        if len(red) == ncols:
+            break
+        row = {c: x for c, x in row.items() if x}
+        while row and (p := min(row)) in red:
+            _add(row, -row[p], red[p])
+        if not row:
+            continue
+        lead = row[p]
+        if lead != 1:
+            inv = -1 if lead == -1 else Fraction(1, lead)
+            row = {c: x * inv for c, x in row.items()}
+        red[p] = row
+    return red
+
+
 def rref(rows, ncols):
     """Reduced row echelon form of the span of sparse rows of width ncols.
 
@@ -68,30 +95,17 @@ def rref(rows, ncols):
     each row is 1 at its pivot, which is its least column, and has no entry
     in any other pivot column.  Zero values in the input are ignored.
     """
-    red = {}
-    for row in rows:
-        if len(red) == ncols:
-            break
-        row = {c: x for c, x in row.items() if x}
-        for p in [c for c in row if c in red]:
-            _add(row, -row[p], red[p])
-        if not row:
-            continue
-        p = min(row)
-        lead = row[p]
-        if lead != 1:
-            inv = -1 if lead == -1 else Fraction(1, lead)
-            row = {c: x * inv for c, x in row.items()}
-        for other in red.values():
-            f = other.get(p)
-            if f:
-                _add(other, -f, row)
-        red[p] = row
-    return dict(sorted(red.items()))
+    red = dict(sorted(echelon(rows, ncols).items()))
+    # from the last pivot back, so each row subtracted is already reduced
+    for p in reversed(red):
+        row = red[p]
+        for q in [c for c in row if c != p and c in red]:
+            _add(row, -row[q], red[q])
+    return red
 
 
 def rank(rows, ncols):
-    return len(rref(rows, ncols))
+    return len(echelon(rows, ncols))
 
 
 def _kernel(red, ncols):

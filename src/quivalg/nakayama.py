@@ -106,9 +106,6 @@ def uniserial_module(algebra, top_vertex, length):
     """The uniserial right module with the given top and composition length
     over a Nakayama-shaped algebra (a quotient of the projective at the
     top vertex by a radical power)."""
-    key = ("uniserial", top_vertex, length)
-    if key in algebra._cache:
-        return algebra._cache[key]
     quiver = algebra.quiver
     if not 1 <= length <= len(algebra.paths_from(top_vertex)):
         raise UniserialLengthError(
@@ -133,7 +130,6 @@ def uniserial_module(algebra, top_vertex, length):
         maps[a][pos[k]][pos[k + 1]] = 1
     rep = Representation(algebra, dims, maps)
     rep._check_relations()
-    algebra._cache[key] = rep
     return rep
 
 

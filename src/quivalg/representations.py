@@ -322,15 +322,21 @@ def commutation_equations(spaces, arrows):
     return rows, width
 
 
-def _solve_hom(m, n, extra):
-    """Morphisms M -> N spanning the solutions of the commutation equations
-    and the ``extra`` equations, which use the same unknowns."""
+def _hom_equations(m, n):
+    """(spaces, rows, width) of the commutation equations of Hom(M, N)."""
     if m.algebra != n.algebra:
         raise ValueError("hom_space needs modules over the same algebra")
     q = m.algebra.quiver
     spaces = [(v, m.dims[v], n.dims[v]) for v in range(q.vertex_count)]
     rows, width = commutation_equations(
         spaces, [(a.source, a.target, m.maps[i], n.maps[i]) for i, a in enumerate(q.arrows)])
+    return spaces, rows, width
+
+
+def _solve_hom(m, n, extra):
+    """Morphisms M -> N spanning the solutions of the commutation equations
+    and the ``extra`` equations, which use the same unknowns."""
+    spaces, rows, width = _hom_equations(m, n)
     cells = [(v, r, c) for v, dm, dn in spaces for r in range(dm) for c in range(dn)]
     morphisms = []
     for vec in linalg.nullspace(rows + extra, width):
@@ -345,6 +351,13 @@ def _solve_hom(m, n, extra):
 def hom_space(m, n):
     """A basis of Hom(M, N), found by solving the commutation equations."""
     return _solve_hom(m, n, [])
+
+
+def hom_dim(m, n):
+    """dim Hom(M, N): the unknowns less the rank of the commutation
+    equations, without a basis."""
+    _, rows, width = _hom_equations(m, n)
+    return width - linalg.rank(rows, width)
 
 
 def radical_endomorphisms(rep):

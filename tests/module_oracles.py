@@ -11,7 +11,8 @@ exact elimination over the path basis, and ``is_faithful`` reads it; the
 tests compare the package's path-suffix faithfulness test with it.
 ``coresolution_oracle`` builds the minimal injective coresolution of the
 regular module from exact envelopes and cokernels; the tests compare the
-package's syzygy loop with it.
+package's syzygy loop with it.  ``flat_table`` lays the blocks of a
+BasicAlgebra out as one indexed multiplication table.
 """
 
 from collections import namedtuple
@@ -153,3 +154,27 @@ def coresolution_oracle(algebra):
         yield OracleTerm(vertices, projective, (env, emb, vertices), module)
         if module.is_zero:
             return
+
+
+FlatTable = namedtuple("FlatTable", ["tags", "products", "radical", "idempotents", "payloads"])
+
+
+def flat_table(c):
+    """The blocks of a BasicAlgebra as one table over a global basis, the
+    blocks e_i C e_j one after another in sorted order: ``tags[x] = (i, j)``
+    for x in e_i C e_j, ``products[x] = {y: ((z, c), ...)}`` for every y
+    with x*y != 0, the indices of the radical basis and of the e_i, and
+    each element's payload."""
+    start, tags, payloads = {}, [], []
+    for key, dim in sorted(c.dims.items()):
+        start[key] = len(tags)
+        tags += [key] * dim
+        payloads += c.payloads[key]
+    products = [{} for _ in tags]
+    for (i, m, j), block in c.blocks.items():
+        x0, y0, z0 = start[(i, m)], start[(m, j)], start[(i, j)]
+        for kx, ky, coords in block:
+            products[x0 + kx][y0 + ky] = tuple((z0 + z, x) for z, x in coords)
+    idempotents = tuple(start[(i, i)] for i in range(c.num_summands))
+    radical = tuple(x for x in range(len(tags)) if x not in idempotents)
+    return FlatTable(tuple(tags), products, radical, idempotents, tuple(payloads))

@@ -105,6 +105,22 @@ def test_rref_matches_dense_oracle(case):
 
 @settings(max_examples=100, deadline=None)
 @given(any_matrices)
+def test_echelon_pivots_and_rank_match_dense_oracle(case):
+    """Forward reduction alone: each row is 1 at its pivot, its least
+    column; the pivots are the dense RREF's and the inputs stay as they
+    were."""
+    m, cols = case
+    rows = oracle.sparse(m)
+    ech = linalg.echelon(rows, cols)
+    _, pivots = oracle.rref(m, cols)
+    assert sorted(ech) == pivots
+    assert all(min(row) == p and row[p] == 1 and stores_no_zero([row]) for p, row in ech.items())
+    assert linalg.rank(rows, cols) == oracle.rank(m, cols) == len(ech)
+    assert rows == oracle.sparse(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_matrices)
 def test_nullspace_matches_dense_oracle(case):
     m, cols = case
     got = [oracle.dense(v, cols) for v in linalg.nullspace(oracle.sparse(m), cols)]
