@@ -47,7 +47,7 @@ from .nakayama import (
     kupisch_to_algebra,
     uniserial_module,
 )
-from .quiver import Quiver, shape_classify
+from .quiver import Quiver, kupisch_walk, shape_classify
 from .verify import (
     DEFAULT_CORPORA, DEFAULT_MAX_C, DEFAULT_MAX_N, SUITES, first_family, run_suites)
 
@@ -154,7 +154,7 @@ def paper_example():
     dc = double_centralizer_check(algebra)
     return {
         "dominant_dimension": dd.value if dd.kind == "finite" else str(dd),
-        "nakayama": algebra_to_kupisch(algebra) is not None,
+        "nakayama": kupisch_walk(algebra.quiver) is not None,
         "qf2_right": all(algebra.socle_criterion(v) for v in range(algebra.quiver.vertex_count)),
         "min_faithful_proj_inj_right": [v + 1 for v in pi_right],
         "base_algebra": describe_basic(base),

@@ -27,16 +27,7 @@ from functools import cached_property
 
 from . import linalg
 from .errors import NotBasicError, NotLocalError
-from .quiver import (
-    Arrow,
-    Quiver,
-    QuiverShape,
-    connected_components,
-    induced_subquiver,
-    is_connected,
-    kupisch_walk,
-    shape_classify,
-)
+from .quiver import Arrow, Quiver, degrees_at_most_one, kupisch_walk
 from .representations import Morphism, hom_dim, hom_space, radical_endomorphisms
 from .nakayama import KupischSeries
 
@@ -255,14 +246,10 @@ def gabriel_quiver(c):
 
 
 def is_nakayama_algebra(c):
-    """True when every connected component of the Gabriel quiver is an
-    oriented line or cycle."""
-    quiver = gabriel_quiver(c)
-    for comp in connected_components(quiver):
-        sub = induced_subquiver(quiver, comp)
-        if shape_classify(sub) is QuiverShape.NOT_NAKAYAMA:
-            return False
-    return True
+    """True when every vertex of the Gabriel quiver has at most one arrow in
+    and at most one arrow out, i.e. each component is an oriented line or
+    cycle."""
+    return degrees_at_most_one(gabriel_quiver(c))
 
 
 def is_qf2_algebra(c):
@@ -308,8 +295,7 @@ def kupisch_reading(c):
     """The Kupisch series of a connected Nakayama BasicAlgebra read along
     its Gabriel quiver, and the summands in that walk order; None when not
     applicable."""
-    quiver = gabriel_quiver(c)
-    walk = kupisch_walk(quiver) if is_connected(quiver) else None
+    walk = kupisch_walk(gabriel_quiver(c))
     if walk is None:
         return None
     shape, order = walk

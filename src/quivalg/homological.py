@@ -232,7 +232,7 @@ def base_algebra(algebra):
 class DoubleCentralizerResult:
     holds: bool
     dim_algebra: int
-    dim_commutant: object = None  # int, or None when dominant dimension is 0
+    dim_commutant: object  # int, or None when dominant dimension is 0
 
 
 def double_centralizer_check(algebra):

@@ -145,7 +145,7 @@ def injective_uniserial_id(algebra, v):
 def allowed_summand_ids(algebra):
     """(top, length) ids of the distinct indecomposables among projectives,
     injectives and injectives-mod-socle."""
-    if algebra_to_kupisch(algebra) is None:
+    if kupisch_walk(algebra.quiver) is None:
         raise NotNakayamaError("allowed summands are defined over Nakayama algebras")
     ids = set(mandatory_summand_ids(algebra))
     for v in range(algebra.quiver.vertex_count):

@@ -146,7 +146,16 @@ class Quiver:
     @cached_property
     def _connected(self):
         # n vertices need n - 1 arrows; a huge count fails before any per-vertex table
-        return len(self.arrows) >= self.vertex_count - 1 and len(connected_components(self)) == 1
+        if len(self.arrows) < self.vertex_count - 1:
+            return False
+        seen, stack = {0}, [0]
+        while stack:
+            v = stack.pop()
+            near = ({self.arrows[i].target for i in self.out_arrows[v]}
+                    | {self.arrows[i].source for i in self.in_arrows[v]}) - seen
+            seen |= near
+            stack += near
+        return len(seen) == self.vertex_count
 
 
 def compose(p, q):
@@ -166,68 +175,36 @@ def is_connected(quiver):
     return quiver._connected
 
 
+def degrees_at_most_one(quiver):
+    """True when every vertex has at most one arrow in and at most one arrow
+    out: exactly the quivers whose connected components are oriented lines
+    or cycles."""
+    return all(len(arrows) <= 1 for arrows in quiver.in_arrows + quiver.out_arrows)
+
+
 def shape_classify(quiver):
     """Classify a connected quiver as an oriented line, an oriented cycle,
     or neither.  Invariant under vertex relabeling."""
     if not is_connected(quiver):
         raise DisconnectedQuiverError("shape classification requires a connected quiver")
-    n = quiver.vertex_count
-    indeg = [len(quiver.in_arrows[v]) for v in range(n)]
-    outdeg = [len(quiver.out_arrows[v]) for v in range(n)]
-    if all(i == 1 for i in indeg) and all(o == 1 for o in outdeg):
-        return QuiverShape.CYCLIC
-    if (len(quiver.arrows) == n - 1
-            and all(i <= 1 for i in indeg) and all(o <= 1 for o in outdeg)):
-        return QuiverShape.LINEAR
-    return QuiverShape.NOT_NAKAYAMA
+    walk = kupisch_walk(quiver)
+    return walk[0] if walk else QuiverShape.NOT_NAKAYAMA
 
 
 def kupisch_walk(quiver):
     """``(shape, order)`` for an oriented line or cycle, where order lists
     the vertices along the arrows from the source of the line, or from
-    vertex 0 of the cycle; None for every other connected quiver."""
-    shape = shape_classify(quiver)
-    if shape is QuiverShape.NOT_NAKAYAMA:
+    vertex 0 of the cycle; None for every other quiver, disconnected ones
+    included."""
+    if not degrees_at_most_one(quiver):
         return None
-    n = quiver.vertex_count
-    v = 0 if shape is QuiverShape.CYCLIC else next(
-        w for w in range(n) if not quiver.in_arrows[w])
-    order = [v]
-    for _ in range(n - 1):
-        v = quiver.arrows[quiver.out_arrows[v][0]].target
+    sources = [v for v in range(quiver.vertex_count) if not quiver.in_arrows[v]]
+    shape = QuiverShape.LINEAR if sources else QuiverShape.CYCLIC
+    order = [sources[0] if sources else 0]
+    # the walk ends at the sink of a line or back at the start of a cycle
+    while quiver.out_arrows[order[-1]]:
+        v = quiver.arrows[quiver.out_arrows[order[-1]][0]].target
+        if v == order[0]:
+            break
         order.append(v)
-    return shape, order
-
-
-def connected_components(quiver):
-    """Vertex sets of the underlying undirected components, each sorted."""
-    adj = [set() for _ in range(quiver.vertex_count)]
-    for a in quiver.arrows:
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
-    seen = set()
-    comps = []
-    for start in range(quiver.vertex_count):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def induced_subquiver(quiver, vertices):
-    """Subquiver on ``vertices`` (relabeled 0..k-1 in the given order)."""
-    pos = {v: i for i, v in enumerate(vertices)}
-    arrows = tuple(Arrow(a.name, pos[a.source], pos[a.target])
-                   for a in quiver.arrows
-                   if a.source in pos and a.target in pos)
-    return Quiver(len(vertices), arrows)
+    return (shape, order) if len(order) == quiver.vertex_count else None

@@ -75,7 +75,6 @@ class VerificationReport:
     counts: dict
     counterexamples: list
     wall_time_seconds: float = 0.0
-    tool_version: str = __version__
 
     @property
     def passed(self):
@@ -86,7 +85,7 @@ class VerificationReport:
         runs produce byte-identical files."""
         return {
             "suite": self.suite,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "bounds": dict(sorted(self.bounds.items())),
             "counts": dict(sorted(self.counts.items())),
             "counterexamples": self.counterexamples,

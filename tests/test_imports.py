@@ -1,9 +1,12 @@
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "quivalg"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "quivalg"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def unused_imports(tree):
@@ -35,13 +38,14 @@ def test_an_unused_import_is_found():
     assert unused_imports(tree) == [(1, "os"), (2, "d")]
 
 
-def unreferenced_defs(trees, public_in=()):
+def unreferenced_defs(trees, public_in=(), callers=()):
     """(module, name) of each module-level ``_``-prefixed function or class
     in ``trees`` (module name -> parsed module), and of each public one in
     the modules listed in ``public_in``, that no code outside its own body
-    names: as a name, an attribute or an imported name."""
+    names: as a name, an attribute or an imported name.  The parsed modules
+    in ``callers`` only count as code that names them."""
     refs = {}  # name -> ids of the nodes that name it
-    for tree in trees.values():
+    for tree in [*trees.values(), *callers]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.setdefault(node.id, []).append(id(node))
@@ -63,11 +67,39 @@ def unreferenced_defs(trees, public_in=()):
 
 
 def test_every_private_helper_has_a_caller():
-    """Every private helper has a caller outside its own body, and so has
-    every function of the elimination kernel, private or not."""
+    """Every function and class has a caller outside its own body, the
+    benchmark's workloads counting as callers.  The public module oracles
+    in representations.py are exempt: they wait for an elimination-side
+    cross-check to call them."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    assert unreferenced_defs(trees, public_in=("linalg.py",)) == []
+    public_in = tuple(name for name in trees if name != "representations.py")
+    workloads = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    assert unreferenced_defs(trees, public_in, callers=[workloads]) == []
+
+
+def test_every_quivalg_name_the_benchmark_reads_exists():
+    """The names ``bench/workloads.py`` imports from quivalg, and the
+    attributes it reads off the quivalg modules it imports, all exist;
+    else every benchmark workload fails at import or in its first round."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules, names = {}, []  # local name -> quivalg module; (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quivalg":
+            for alias in node.names:
+                names.append((node.module, alias.name))
+                if node.module == "quivalg":
+                    modules[alias.asname or alias.name] = f"quivalg.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.append((modules[node.value.id], node.attr))
+    assert {module for module, _ in names} > {"quivalg"}
+    for module in modules.values():
+        importlib.import_module(module)  # binds the submodule on the package
+    missing = [(module, name) for module, name in sorted(set(names))
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_an_unreferenced_private_helper_is_found():
@@ -83,3 +115,7 @@ def test_an_unreferenced_private_helper_is_found():
     }
     assert unreferenced_defs(trees) == [("a.py", "_orphan")]
     assert unreferenced_defs(trees, public_in=("b.py",)) == [("a.py", "_orphan"), ("b.py", "orphan")]
+    caller = trees.pop("c.py")
+    assert ("b.py", "called") in unreferenced_defs(trees, public_in=("b.py",))
+    assert unreferenced_defs(trees, public_in=("b.py",), callers=[caller]) == [
+        ("a.py", "_orphan"), ("b.py", "orphan")]

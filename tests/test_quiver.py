@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement, permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +9,7 @@ from quivalg.quiver import (
     Quiver,
     QuiverShape,
     compose,
-    connected_components,
-    induced_subquiver,
+    degrees_at_most_one,
     is_connected,
     kupisch_walk,
     shape_classify,
@@ -96,11 +97,10 @@ def test_degree_characterization_of_shapes():
 
 
 def test_components_and_induced():
-    q = Quiver.from_arrows(3, [("a", 0, 1)])
-    comps = connected_components(q)
-    assert comps == [[0, 1], [2]]
-    sub = induced_subquiver(q, comps[0])
-    assert sub.vertex_count == 2 and len(sub.arrows) == 1
+    assert not is_connected(Quiver.from_arrows(3, [("a", 0, 1)]))
+    assert is_connected(Quiver.from_arrows(2, [("a", 0, 1)]))
+    assert not is_connected(Quiver.from_arrows(3, [("a", 0, 1), ("b", 1, 0)]))
+    assert is_connected(Quiver.from_arrows(3, [("a", 0, 1), ("b", 2, 1)]))
 
 
 def test_path_validation():
@@ -129,3 +129,60 @@ def test_kupisch_walk():
     assert kupisch_walk(cycle) == (QuiverShape.CYCLIC, [0, 2, 1])
     assert kupisch_walk(Quiver.from_arrows(1, [])) == (QuiverShape.LINEAR, [0])
     assert kupisch_walk(paper_quiver()) is None
+
+
+def small_quivers(max_vertices=4, max_arrows=5):
+    """Every labelled quiver with at most the given numbers of vertices and
+    arrows, parallel arrows told apart only by their names."""
+    for n in range(1, max_vertices + 1):
+        pairs = [(s, t) for s in range(n) for t in range(n)]
+        for k in range(max_arrows + 1):
+            for chosen in combinations_with_replacement(pairs, k):
+                yield Quiver.from_arrows(n, [(f"a{i}", s, t) for i, (s, t) in enumerate(chosen)])
+
+
+def components_oracle(quiver):
+    """Vertex sets of the undirected components, found by merging the two
+    ends of each arrow."""
+    comps = [{v} for v in range(quiver.vertex_count)]
+    for a in quiver.arrows:
+        ends = [c for c in comps if a.source in c or a.target in c]
+        comps = [c for c in comps if c not in ends] + [set().union(*ends)]
+    return comps
+
+
+def shape_oracle(quiver, vertices):
+    """The shape of the arrows among ``vertices``: LINEAR or CYCLIC when some
+    ordering of them has exactly those arrows as its consecutive pairs (the
+    closing pair included for a cycle), else NOT_NAKAYAMA."""
+    arrows = sorted((a.source, a.target) for a in quiver.arrows
+                    if a.source in vertices and a.target in vertices)
+    for order in permutations(sorted(vertices)):
+        line = sorted(zip(order, order[1:]))
+        if arrows == line:
+            return QuiverShape.LINEAR
+        if arrows == sorted(line + [(order[-1], order[0])]):
+            return QuiverShape.CYCLIC
+    return QuiverShape.NOT_NAKAYAMA
+
+
+def test_shape_functions_match_the_brute_force_oracle():
+    for count, q in enumerate(small_quivers(), 1):
+        comps = components_oracle(q)
+        shapes = [shape_oracle(q, c) for c in comps]
+        assert is_connected(q) == (len(comps) == 1)
+        assert degrees_at_most_one(q) == (QuiverShape.NOT_NAKAYAMA not in shapes)
+        if len(comps) == 1:
+            assert shape_classify(q) is shapes[0]
+        else:
+            with pytest.raises(DisconnectedQuiverError):
+                shape_classify(q)
+        whole = shapes[0] if len(comps) == 1 else shape_oracle(q, set(range(q.vertex_count)))
+        walk = kupisch_walk(q)
+        assert (walk is None) == (whole is QuiverShape.NOT_NAKAYAMA)
+        if walk is not None:
+            shape, order = walk
+            assert shape is whole and sorted(order) == list(range(q.vertex_count))
+            pairs = {(a.source, a.target) for a in q.arrows}
+            assert all(step in pairs for step in zip(order, order[1:]))
+    assert count == 22483
