@@ -10,6 +10,7 @@ import time
 from collections import Counter
 
 from argtypes import corpus_bounds, exit_with, positive_int
+from quivalg.homological import DomDim
 from quivalg.verify import DEFAULT_CORPORA, sweep_corpus
 
 
@@ -27,8 +28,7 @@ def main(argv):
     shapes = Counter()
     dc = Counter()
     for f in facts:
-        d = f["domdim"]
-        domdims["infinity" if d["kind"] == "infinite" else str(d["value"])] += 1
+        domdims[str(DomDim(**f["domdim"]))] += 1
         shapes[f["shape"]] += 1
         dc[f["dc_holds"]] += 1
     print(f"{len(facts)} algebras in {elapsed:.1f}s ({args.workers} workers)")

@@ -255,40 +255,29 @@ def is_nakayama_algebra(c):
 def is_qf2_algebra(c):
     """Simple right socle for every e_i C and simple left socle for every
     C e_i, computed against generators of the radical."""
-    n, d = c.num_summands, c.dimension
-    gens = {}  # block -> {local index: column offset of the generator}
-    for gn, (a, b, k) in enumerate(c.radical_generators()):
-        gens.setdefault((a, b), {})[k] = gn * d
-    # element k of e_i C e_j is row right_start[(i, j)] + k of e_i C and
-    # row left_start[(i, j)] + k of C e_j
-    before, after = [[] for _ in range(n)], [[] for _ in range(n)]
-    right_start, left_start, right_size, left_size = {}, {}, [0] * n, [0] * n
+    generators, d, n = c.radical_generators(), c.dimension, c.num_summands
+    column = {g: gn * d for gn, g in enumerate(generators)}  # generator -> first column
+    # side 0 holds e_i C for each i, side 1 holds C e_j for each j
+    sizes, rows = [[0] * n, [0] * n], [[{} for _ in range(n)] for _ in range(2)]
     for (i, j), dim in c.dims.items():
-        before[j].append(i)
-        after[i].append(j)
-        right_start[(i, j)], right_size[i] = right_size[i], right_size[i] + dim
-        left_start[(i, j)], left_size[j] = left_size[j], left_size[j] + dim
+        sizes[0][i] += dim
+        sizes[1][j] += dim
     # x is in the socle when x g = 0 (g x = 0 on the left) for every
-    # generator g; the products by one generator fill one column range
-    right, left = [{} for _ in range(n)], [{} for _ in range(n)]  # {row: sparse row}
-
-    def fill(rows, start, block, offsets, side):
-        # the (kx, ky, coords) entries whose factor at side (0 left, 1 right)
-        # is a generator go to row start + the other factor's index
-        for entry in block:
-            if (kg := entry[side]) in offsets:
-                row = rows.setdefault(start + entry[1 - side], {})
-                for z, x in entry[2]:
-                    row[offsets[kg] + z] = x
-
-    for (a, b), offsets in gens.items():
-        for i in before[a]:
-            fill(right[i], right_start[(i, a)], c.blocks.get((i, a, b), ()), offsets, 1)
-        for j in after[b]:
-            fill(left[j], left_start[(b, j)], c.blocks.get((a, b, j), ()), offsets, 0)
-    width = len(c.radical_generators()) * d
-    return all(size - linalg.rank(list(rows.values()), width) == 1
-               for size, rows in zip(right_size + left_size, right + left))
+    # generator g; the products by one generator fill one column range.
+    # A product x y of block (i, m, j) with y a generator fills row x, keyed
+    # (m, kx), of e_i C; with x a generator, it fills row y, (m, ky), of C e_j
+    for (i, m, j), block in c.blocks.items():
+        for kx, ky, coords in block:
+            if (g := column.get((m, j, ky))) is not None:
+                row = rows[0][i].setdefault((m, kx), {})
+                for z, x in coords:
+                    row[g + z] = x
+            if (g := column.get((i, m, kx))) is not None:
+                row = rows[1][j].setdefault((m, ky), {})
+                for z, x in coords:
+                    row[g + z] = x
+    return all(size - linalg.rank(list(module.values()), len(generators) * d) == 1
+               for side in (0, 1) for size, module in zip(sizes[side], rows[side]))
 
 
 def kupisch_reading(c):

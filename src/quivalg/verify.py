@@ -97,9 +97,14 @@ class VerificationReport:
 
     def write(self, path):
         tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-        os.replace(tmp, path)
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(self.to_json())
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
     def csv_summary(self):
         """Key/value rows; a value with a comma, such as the corpus bounds,

@@ -255,6 +255,18 @@ def test_cli_verify_pass(tmp_path, capsys):
     assert "suite,qf2-chain" in csv_path.read_text()
 
 
+def test_cli_verify_report_failure_leaves_no_temporary_file(tmp_path, capsys):
+    report_dir = tmp_path / "reports"
+    report_dir.mkdir()
+    code = main(["verify", "yamagata", "--max-n", "1", "--max-c", "1",
+                 "--report", str(report_dir)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("quivalg: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reports"]
+    assert list(report_dir.iterdir()) == []
+
+
 def test_cli_verify_stdout_json(capsys):
     code = main(["verify", "cross-checks", "--max-vertices", "1", "--max-arrows", "1",
                  "--max-rel-len", "2", "--max-n", "2", "--max-c", "2"])

@@ -119,3 +119,24 @@ def test_an_unreferenced_private_helper_is_found():
     assert ("b.py", "called") in unreferenced_defs(trees, public_in=("b.py",))
     assert unreferenced_defs(trees, public_in=("b.py",), callers=[caller]) == [
         ("a.py", "_orphan"), ("b.py", "orphan")]
+
+
+def test_the_version_has_one_record():
+    """pyproject.toml reads the version off ``quivalg.__version__``, and the
+    package module binds that name only: quivalg is imported by submodule."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "quivalg.__version__"}
+    bound = set()
+    for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            bound.update(n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    assert bound == {"__version__"}

@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -56,3 +58,19 @@ def test_scripts_exit_quietly_when_the_reader_closes(lines_read, script, args, f
     # after one line the script may have written every line before the close
     assert proc.returncode == 1 or (lines_read and proc.returncode == 0)
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_profile_sweep_counts_a_truncated_domdim_apart(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location(
+        "profile_sweep", ROOT / "scripts" / "profile_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    facts = [{"domdim": {"kind": kind, "value": value}, "shape": "linear", "dc_holds": True}
+             for kind, value in [("finite", 2), ("at_least", 12), ("infinite", 0)]]
+    monkeypatch.setattr(script, "sweep_corpus", lambda corpora, workers: facts)
+    assert script.main([]) == 0
+    [line] = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("dominant dimension:")]
+    assert ast.literal_eval(line.split(":", 1)[1].strip()) == {
+        "2": 1, ">=12": 1, "infinity": 1}
