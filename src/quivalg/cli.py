@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from functools import cache
 from importlib import resources
 from itertools import islice
@@ -362,16 +363,17 @@ def _cmd_verify(args):
     if None in triple and triple != (None, None, None):
         build_parser().error("give all of --max-vertices/--max-arrows/--max-rel-len or none")
     bounds = DEFAULT_CORPORA if None in triple else (CorpusBounds(*triple),)
-    [report] = run_suites([args.suite], bounds=bounds, max_n=args.max_n,
-                          max_c=args.max_c, workers=args.workers)
-    if args.report:
-        report.write(args.report)
-        print(f"report written to {args.report}", file=sys.stderr)
-    else:
-        sys.stdout.write(report.to_json())
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.csv_summary())
+    # an unusable --csv path fails here, before the suite runs or a report is written
+    with open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext() as csv:
+        [report] = run_suites([args.suite], bounds=bounds, max_n=args.max_n,
+                              max_c=args.max_c, workers=args.workers)
+        if args.report:
+            report.write(args.report)
+            print(f"report written to {args.report}", file=sys.stderr)
+        else:
+            sys.stdout.write(report.to_json())
+        if csv is not None:
+            csv.write(report.csv_summary())
     family = first_family(report.suite)
     print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'} "
           f"({report.counts.get(family, '-')} {family}, "

@@ -136,6 +136,7 @@ def admissible_relation_sets(quiver, max_len):
             rec(k + 1)
 
     rec(0)
+    del rec  # rec reaches itself through its closure cell; drop that cycle now
     return results
 
 

@@ -7,11 +7,12 @@ it decides admissibility (finiteness of that basis) exactly, by a repeated
 state on one branch, so no length cutoff is ever involved.
 """
 
+import weakref
 from collections import namedtuple
 from functools import cached_property
 
 from .errors import BadRelationError, DisconnectedQuiverError, NotAdmissibleError
-from .quiver import Arrow, Path, Quiver, compose, is_connected
+from .quiver import Path, compose, is_connected
 
 
 def _path_order(p):  # of relations and of the basis; the source orders trivial paths
@@ -54,7 +55,8 @@ class MonomialAlgebra:
         self.basis = self._enumerate_basis() if basis is None else basis
         self._basis_index = {p: i for i, p in enumerate(self.basis)}
         self._cache = {}
-        self._opposite = None
+        self._opposite = None  # the opposite algebra, once built here
+        self._origin = None  # a weak reference to the algebra this one is the opposite of
 
     def _enumerate_basis(self):
         """Depth-first search per vertex.  A path's state (target, last
@@ -148,18 +150,21 @@ class MonomialAlgebra:
 
         A path avoids the relations exactly when its reverse avoids the
         reversed ones, so the basis is this one reversed, with no search.
-        Cached, and an involution: ``A.opposite().opposite() is A``.
+        Cached, and an involution while this algebra is alive:
+        ``A.opposite().opposite() is A``.  The opposite refers back to A
+        only weakly, so no reference cycle keeps either alive; once A is
+        gone, the opposite's ``opposite()`` builds an algebra equal to A.
         """
-        if self._opposite is None:
-            rev = Quiver(self.quiver.vertex_count,
-                         tuple(Arrow(a.name, a.target, a.source) for a in self.quiver.arrows))
+        opp = self._opposite or (self._origin and self._origin())
+        if opp is None:
             reverse = lambda p: Path(p.target, p.source, p.reversed_key())
             opp = MonomialAlgebra.__new__(MonomialAlgebra)
-            opp._install(rev, tuple(sorted(map(reverse, self.relations), key=_path_order)),
+            opp._install(self.quiver.reversed,
+                         tuple(sorted(map(reverse, self.relations), key=_path_order)),
                          tuple(sorted(map(reverse, self.basis), key=_path_order)))
-            opp._opposite = self
+            opp._origin = weakref.ref(self)
             self._opposite = opp
-        return self._opposite
+        return opp
 
     @cached_property
     def _socle_table(self):  # socle_dims of every vertex, from one pass over the basis

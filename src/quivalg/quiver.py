@@ -1,16 +1,18 @@
 """Finite quivers and paths.
 
 Vertices are the integers 0..n-1.  Arrows carry user-chosen string names
-but are canonicalized to their declaration index internally; a path stores
-arrow indices together with its endpoints, so the trivial path at a vertex
-is representable.  Composition is written left to right: ``compose(p, q)``
-traverses p first, matching the right-module conventions used throughout.
+but are canonicalized to their declaration index internally.  A path is a
+named tuple of its endpoints and its arrow indices, so the trivial path at
+a vertex is representable, and paths hash and compare as plain tuples.
+Composition is written left to right: ``compose(p, q)`` traverses p first,
+matching the right-module conventions used throughout.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .errors import DisconnectedQuiverError
 
@@ -22,8 +24,7 @@ class Arrow:
     target: int
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A directed path; ``arrows`` lists arrow indices, empty for e_i."""
 
     source: int
@@ -66,6 +67,12 @@ class Quiver:
     @cached_property
     def _name_index(self):
         return {a.name: i for i, a in enumerate(self.arrows)}
+
+    @cached_property
+    def reversed(self):
+        """The opposite quiver: every arrow turned around, names and order kept."""
+        return Quiver(self.vertex_count,
+                      tuple(Arrow(a.name, a.target, a.source) for a in self.arrows))
 
     @cached_property
     def out_arrows(self):

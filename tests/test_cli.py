@@ -267,6 +267,19 @@ def test_cli_verify_report_failure_leaves_no_temporary_file(tmp_path, capsys):
     assert list(report_dir.iterdir()) == []
 
 
+def test_cli_verify_unusable_csv_path_fails_before_the_suite_runs(tmp_path, capsys):
+    report_path = tmp_path / "r.json"
+    csv_dir = tmp_path / "d"
+    csv_dir.mkdir()
+    code = main(["verify", "yamagata", "--max-n", "1", "--max-c", "1",
+                 "--report", str(report_path), "--csv", str(csv_dir)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("quivalg: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+    assert list(csv_dir.iterdir()) == []
+
+
 def test_cli_verify_stdout_json(capsys):
     code = main(["verify", "cross-checks", "--max-vertices", "1", "--max-arrows", "1",
                  "--max-rel-len", "2", "--max-n", "2", "--max-c", "2"])

@@ -10,8 +10,7 @@ WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def unused_imports(tree):
-    """Names a module imports and never reads; the names listed in its
-    ``__all__`` count as read."""
+    """Names a module imports and never reads."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -21,10 +20,6 @@ def unused_imports(tree):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -34,7 +29,7 @@ def test_no_unused_imports(path):
 
 
 def test_an_unused_import_is_found():
-    tree = ast.parse("import os\nfrom a import b, c as d\n__all__ = ['b']\n")
+    tree = ast.parse("import os\nfrom a import b, c as d\nb()\n")
     assert unused_imports(tree) == [(1, "os"), (2, "d")]
 
 

@@ -179,6 +179,7 @@ def test_opposite_matches_the_full_construction(presentations):
     for a in presentations:
         opp, expected = a.opposite(), oracle.opposite(a)
         assert opp.quiver == expected.quiver
+        assert opp.quiver is a.quiver.reversed  # one per quiver, shared by its algebras
         assert opp.basis == expected.basis
         assert opp.relations == expected.relations
         assert opp._basis_index == expected._basis_index
